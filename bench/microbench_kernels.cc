@@ -2,7 +2,8 @@
 // ISVD pipeline: scalar/interval matrix products, sparse CSR matvec
 // variants (with the obs matvec/nnz counters surfaced per iteration),
 // one-sided Jacobi SVD, symmetric Jacobi eigendecomposition, Hungarian
-// assignment, ILSA, and a full ISVD4-b decomposition.
+// assignment, ILSA, a full ISVD4-b decomposition, and the serving layer's
+// TopK query.
 //
 // Like the fig10 benches, accepts --json[=PATH] (default
 // BENCH_microbench_kernels.json) and emits one flat record per benchmark
@@ -15,7 +16,9 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/assignment.h"
@@ -29,6 +32,7 @@
 #include "linalg/eig.h"
 #include "linalg/svd.h"
 #include "obs/metrics.h"
+#include "serve/serving_snapshot.h"
 #include "sparse/sparse_gram_operator.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "sparse/sparse_kernels.h"
@@ -286,6 +290,76 @@ void BM_SparseGramApplyBoth(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseGramApplyBoth)->Arg(2000)->Arg(8000)->Arg(20000);
 
+// -- Serving TopK -------------------------------------------------------------
+//
+// One ranking query on a snapshot: rank-10 factors over `items` items and
+// 1000 users with short rated rows (8 cells each, like the serving
+// benchmark's matrix), k = 10 with rated items excluded. The factors are
+// random and signed: the query's cost depends on the shape, not on the
+// values. Target b is what the serving tools publish; target a scores four
+// sums per item instead of two.
+
+constexpr size_t kTopKUsers = 1000;
+
+ServingSnapshot TopKSnapshot(DecompositionTarget target, size_t items) {
+  constexpr size_t kRank = 10, kRatedPerUser = 8;
+  Rng rng(505);
+  const auto random = [&rng](size_t rows, size_t cols) {
+    Matrix x(rows, cols);
+    for (size_t i = 0; i < rows; ++i)
+      for (size_t j = 0; j < cols; ++j) x(i, j) = rng.Uniform(-1.0, 1.0);
+    return x;
+  };
+  const auto widened = [&rng](Matrix x) {
+    for (size_t i = 0; i < x.rows(); ++i)
+      for (size_t j = 0; j < x.cols(); ++j) x(i, j) += rng.Uniform(0.0, 0.2);
+    return x;
+  };
+  IsvdResult result;
+  result.target = target;
+  const Matrix u = random(kTopKUsers, kRank), v = random(items, kRank);
+  if (target == DecompositionTarget::kA) {
+    result.u = IntervalMatrix(u, widened(u));
+    result.v = IntervalMatrix(v, widened(v));
+  } else {
+    result.u = IntervalMatrix::FromScalar(u);
+    result.v = IntervalMatrix::FromScalar(v);
+  }
+  for (size_t k = 0; k < kRank; ++k) {
+    const double s = 10.0 / static_cast<double>(k + 1);
+    result.sigma.emplace_back(s, s + rng.Uniform(0.0, 0.5));
+  }
+  std::vector<IntervalTriplet> rated;
+  for (size_t i = 0; i < kTopKUsers; ++i) {
+    for (size_t c = 0; c < kRatedPerUser; ++c) {
+      rated.push_back({i, static_cast<size_t>(rng.UniformIndex(items)),
+                       Interval(3.0, 4.0)});
+    }
+  }
+  return ServingSnapshot(
+      1, std::move(result),
+      std::make_shared<const SparseIntervalMatrix>(
+          SparseIntervalMatrix::FromTriplets(kTopKUsers, items, rated)));
+}
+
+void BM_ServingTopK(benchmark::State& state, DecompositionTarget target) {
+  const size_t items = static_cast<size_t>(state.range(0));
+  const ServingSnapshot snapshot = TopKSnapshot(target, items);
+  size_t user = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snapshot.TopK(user, 10, /*exclude_observed=*/true));
+    user = (user + 1) % kTopKUsers;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(items));
+}
+BENCHMARK_CAPTURE(BM_ServingTopK, target_a, DecompositionTarget::kA)
+    ->Arg(2000)
+    ->Arg(20000);
+BENCHMARK_CAPTURE(BM_ServingTopK, target_b, DecompositionTarget::kB)
+    ->Arg(2000)
+    ->Arg(20000);
+
 // -- Differential self-check (--check) ---------------------------------------
 //
 // Compares every dispatched kernel entry point against the scalar reference
@@ -377,6 +451,55 @@ bool RunKernelSelfCheck() {
   return ok;
 }
 
+// Returns true when TopK on every BM_ServingTopK snapshot equals the brute
+// force (every unrated item's Predict sorted by midpoint descending, then
+// item ascending) item for item and score for score, on a spread of users.
+bool RunTopKSelfCheck() {
+  bool ok = true;
+  for (const DecompositionTarget target :
+       {DecompositionTarget::kA, DecompositionTarget::kB}) {
+    for (size_t items : {2000u, 20000u}) {
+      const ServingSnapshot snapshot = TopKSnapshot(target, items);
+      const SparseIntervalMatrix& m = snapshot.matrix();
+      for (size_t user = 0; user < kTopKUsers; user += 97) {
+        const std::vector<ServingSnapshot::ScoredItem> top =
+            snapshot.TopK(user, 10, /*exclude_observed=*/true);
+        std::vector<ServingSnapshot::ScoredItem> all;
+        size_t next = m.row_ptr()[user];
+        for (size_t j = 0; j < items; ++j) {
+          if (next < m.row_ptr()[user + 1] && m.col_idx()[next] == j) {
+            ++next;
+            continue;
+          }
+          all.push_back({j, snapshot.Predict(user, j)});
+        }
+        std::sort(all.begin(), all.end(),
+                  [](const ServingSnapshot::ScoredItem& a,
+                     const ServingSnapshot::ScoredItem& b) {
+                    if (a.score.Mid() != b.score.Mid()) {
+                      return a.score.Mid() > b.score.Mid();
+                    }
+                    return a.item < b.item;
+                  });
+        all.resize(std::min<size_t>(all.size(), 10));
+        bool same = top.size() == all.size();
+        for (size_t r = 0; same && r < top.size(); ++r) {
+          same = top[r].item == all[r].item && top[r].score == all[r].score;
+        }
+        if (!same) {
+          std::fprintf(stderr,
+                       "check FAILED: topk target %d items %zu user %zu "
+                       "differs from the brute force\n",
+                       static_cast<int>(target), items, user);
+        }
+        ok &= same;
+      }
+    }
+  }
+  std::fprintf(stderr, "topk self-check: %s\n", ok ? "OK" : "FAILED");
+  return ok;
+}
+
 }  // namespace
 
 // -- JSON capture -------------------------------------------------------------
@@ -454,9 +577,14 @@ int main(int argc, char** argv) {
     args.push_back(argv[i]);
   }
   // Differential gate: with --check, every vectorized backend must
-  // reproduce the scalar reference on the bench's own construction before
-  // any timing runs — a diverged kernel cannot publish numbers.
-  if (check && !ivmf::RunKernelSelfCheck()) return 1;
+  // reproduce the scalar reference, and TopK the brute-force ranking, on
+  // the bench's own constructions before any timing runs — a diverged
+  // kernel cannot publish numbers.
+  if (check) {
+    bool ok = ivmf::RunKernelSelfCheck();
+    ok &= ivmf::RunTopKSelfCheck();
+    if (!ok) return 1;
+  }
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {

@@ -15,6 +15,14 @@
 // reconstruction rule per decomposition target (supplementary Algorithms
 // 12–14), O(rank) per cell instead of materializing the n x m matrix — so a
 // served prediction is exactly the reconstruction of the published epoch.
+//
+// TopK ranks every item in one pass over a k-major (rank x items) copy of
+// V built once per epoch by the constructor. It computes only each item's
+// ranking key, in blocks of items whose sums stay in registers, keeps the
+// best k in a bounded heap, and calls Predict for the winners alone. Each
+// key accumulates in Predict's k order with Predict's products, so it
+// equals Predict(user, item).Mid() bit for bit and the ranking is exactly
+// the brute-force one.
 
 #ifndef IVMF_SERVE_SERVING_SNAPSHOT_H_
 #define IVMF_SERVE_SERVING_SNAPSHOT_H_
@@ -40,7 +48,8 @@ class ServingSnapshot {
 
   // Takes ownership of the factors and shares the frozen matrix view.
   // `matrix` must be non-null and its shape must cover the factor rows
-  // (users x items); `result` must be the decomposition of `*matrix`.
+  // (users x items); u, v and sigma must agree on the rank; `result` must
+  // be the decomposition of `*matrix`.
   // `sharded` optionally carries the block-row sharded view the refresh
   // decomposed through (StreamingIsvdOptions::shard_rows > 0); it shares
   // the same CSR arrays as `matrix` and must match its shape when present.
@@ -86,7 +95,10 @@ class ServingSnapshot {
   // (explicit cells of the frozen matrix) are skipped — the classic
   // recommend-something-new query, and the reason the snapshot carries the
   // matrix view alongside the factors. Returns fewer than k items when the
-  // candidate set is smaller.
+  // candidate set is smaller. Each score is Predict(user, item), and the
+  // result equals sorting every candidate's Predict by that order. Costs
+  // one pass over items x rank plus a heap of at most k entries; allocates
+  // O(k + rank), never O(items).
   std::vector<ScoredItem> TopK(size_t user, size_t k,
                                bool exclude_observed = false) const;
 
@@ -95,6 +107,11 @@ class ServingSnapshot {
   IsvdResult result_;
   std::shared_ptr<const SparseIntervalMatrix> matrix_;
   std::shared_ptr<const ShardedSparseIntervalMatrix> sharded_;
+  // V transposed to rank x items, each row zero-padded to whole TopK
+  // blocks: the lower (for targets b and c, the scalar) endpoint, and the
+  // upper endpoint for target a only.
+  Matrix v_lo_kmajor_;
+  Matrix v_hi_kmajor_;
 };
 
 }  // namespace ivmf

@@ -12,10 +12,11 @@
 // The read path never waits on the writer's refresh work: the exchanged
 // state is one pointer, swapped after the (expensive) snapshot construction
 // completes off to the side. The C++17 atomic shared_ptr free functions
-// used here are lock-free on the pointer where the ABI supports it and
-// otherwise back onto a tiny spinlock pool around the two-word copy —
-// either way the reader's critical path is a refcount increment, never the
-// decomposition.
+// used here are not lock-free in libstdc++ (std::atomic_is_lock_free
+// returns false with GCC 12): each load or store takes a mutex from a
+// small pool keyed by the pointer's address, held for the two-word copy
+// and refcount update only. So a reader can wait, but only on another
+// Acquire or on the writer's swap, never on the decomposition.
 //
 // Contract: snapshots are published with strictly increasing epochs (one
 // writer), so any reader re-acquiring observes epochs monotonically —

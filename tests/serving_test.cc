@@ -112,64 +112,209 @@ TEST(ServingSnapshotTest, ObservedReturnsFrozenMatrixCells) {
   }
 }
 
-TEST(ServingSnapshotTest, TopKMatchesBruteForceMidpointRanking) {
+// The brute-force ranking TopK must reproduce exactly: every candidate's
+// Predict, sorted by midpoint descending then item ascending, first k.
+std::vector<ServingSnapshot::ScoredItem> BruteForceTopK(
+    const ServingSnapshot& snapshot, size_t user, size_t k,
+    bool exclude_observed) {
+  const SparseIntervalMatrix& m = snapshot.matrix();
+  const auto rated_begin =
+      m.col_idx().begin() + static_cast<ptrdiff_t>(m.row_ptr()[user]);
+  const auto rated_end =
+      m.col_idx().begin() + static_cast<ptrdiff_t>(m.row_ptr()[user + 1]);
+  std::vector<ServingSnapshot::ScoredItem> all;
+  for (size_t j = 0; j < snapshot.items(); ++j) {
+    if (exclude_observed && std::binary_search(rated_begin, rated_end, j)) {
+      continue;
+    }
+    all.push_back({j, snapshot.Predict(user, j)});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const ServingSnapshot::ScoredItem& a,
+               const ServingSnapshot::ScoredItem& b) {
+              if (a.score.Mid() != b.score.Mid()) {
+                return a.score.Mid() > b.score.Mid();
+              }
+              return a.item < b.item;
+            });
+  all.resize(std::min(all.size(), k));
+  return all;
+}
+
+// TopK equals the brute force item for item and score for score (==, not
+// a tolerance) for every user, both exclusion modes, and k in {0, 1, 5,
+// exactly the candidates, more than the candidates}.
+void ExpectTopKMatchesBruteForce(const ServingSnapshot& snapshot) {
+  const SparseIntervalMatrix& m = snapshot.matrix();
+  for (size_t user = 0; user < snapshot.users(); ++user) {
+    for (const bool exclude : {false, true}) {
+      const size_t rated = m.row_ptr()[user + 1] - m.row_ptr()[user];
+      const size_t candidates = snapshot.items() - (exclude ? rated : 0);
+      for (const size_t k : {size_t{0}, size_t{1}, size_t{5}, candidates,
+                             candidates + 3}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "user " << user << " exclude " << exclude << " k "
+                     << k << " items " << snapshot.items());
+        const std::vector<ServingSnapshot::ScoredItem> want =
+            BruteForceTopK(snapshot, user, k, exclude);
+        const std::vector<ServingSnapshot::ScoredItem> got =
+            snapshot.TopK(user, k, exclude);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t r = 0; r < got.size(); ++r) {
+          EXPECT_EQ(got[r].item, want[r].item) << "rank " << r;
+          EXPECT_EQ(got[r].score, want[r].score) << "rank " << r;
+        }
+      }
+    }
+  }
+}
+
+// A snapshot over hand-built signed factors, so target a's mixed-sign
+// endpoint products and target b's misordered sums (served average-
+// replaced) both occur. Every third V row duplicates its predecessor, so
+// equal keys must break by ascending item. User 0 rated every item and
+// user 1 none; the rest rate about a third.
+ServingSnapshot HandBuiltSnapshot(DecompositionTarget target, size_t users,
+                                  size_t items, size_t rank, Rng& rng) {
+  const auto random = [&rng](size_t rows, size_t cols) {
+    Matrix x(rows, cols);
+    for (size_t i = 0; i < rows; ++i)
+      for (size_t j = 0; j < cols; ++j) x(i, j) = rng.Uniform(-1.0, 1.0);
+    return x;
+  };
+  const auto widened = [&rng](const Matrix& lo) {
+    Matrix hi = lo;
+    for (size_t i = 0; i < hi.rows(); ++i)
+      for (size_t j = 0; j < hi.cols(); ++j) hi(i, j) += rng.Uniform(0.0, 0.5);
+    return hi;
+  };
+  IsvdResult result;
+  result.target = target;
+  const Matrix u = random(users, rank);
+  Matrix v = random(items, rank);
+  for (size_t j = 1; j < items; j += 3) {
+    for (size_t c = 0; c < rank; ++c) v(j, c) = v(j - 1, c);
+  }
+  if (target == DecompositionTarget::kA) {
+    result.u = IntervalMatrix(u, widened(u));
+    Matrix v_hi = widened(v);
+    for (size_t j = 1; j < items; j += 3) {
+      for (size_t c = 0; c < rank; ++c) v_hi(j, c) = v_hi(j - 1, c);
+    }
+    result.v = IntervalMatrix(v, v_hi);
+  } else {
+    result.u = IntervalMatrix::FromScalar(u);
+    result.v = IntervalMatrix::FromScalar(v);
+  }
+  for (size_t c = 0; c < rank; ++c) {
+    const double s = rng.Uniform(0.5, 3.0);
+    result.sigma.push_back(target == DecompositionTarget::kC
+                               ? Interval::Scalar(s)
+                               : Interval(s, s + rng.Uniform(0.0, 1.0)));
+  }
+  CellMap cells;
+  for (size_t i = 0; i < users; ++i) {
+    for (size_t j = 0; j < items; ++j) {
+      if (i == 0 || (i != 1 && rng.Bernoulli(0.3))) {
+        cells[{i, j}] = Interval(1.0, 2.0);
+      }
+    }
+  }
+  return ServingSnapshot(
+      1, std::move(result),
+      std::make_shared<const SparseIntervalMatrix>(
+          SparseIntervalMatrix::FromTriplets(users, items, ToTriplets(cells))));
+}
+
+TEST(ServingSnapshotTest, TopKMatchesBruteForceOnHandBuiltFactors) {
   Rng rng(13);
-  const size_t n = 18, m = 14, k = 5;
-  const CellMap cells = RandomBaseCells(n, m, 3, 0.5, rng);
-  StreamingIsvd streaming(
-      3, 3, SparseIntervalMatrix::FromTriplets(n, m, ToTriplets(cells)));
-  const ServingSnapshot snapshot = SnapshotOf(streaming, 1);
-
-  for (size_t user = 0; user < n; ++user) {
-    // Brute force: all items by (midpoint desc, item asc).
-    std::vector<std::pair<double, size_t>> expected;
-    for (size_t j = 0; j < m; ++j) {
-      expected.emplace_back(-snapshot.Predict(user, j).Mid(), j);
-    }
-    std::sort(expected.begin(), expected.end());
-
-    const std::vector<ServingSnapshot::ScoredItem> top =
-        snapshot.TopK(user, k);
-    ASSERT_EQ(top.size(), k);
-    for (size_t r = 0; r < k; ++r) {
-      EXPECT_EQ(top[r].item, expected[r].second) << "user " << user
-                                                 << " rank " << r;
-      EXPECT_DOUBLE_EQ(top[r].score.Mid(), -expected[r].first);
+  for (const DecompositionTarget target :
+       {DecompositionTarget::kA, DecompositionTarget::kB,
+        DecompositionTarget::kC}) {
+    // Item counts around the block width, and one past a thousand blocks.
+    for (const size_t items : {1u, 7u, 8u, 9u, 17u, 2003u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "target " << static_cast<int>(target));
+      const ServingSnapshot snapshot =
+          HandBuiltSnapshot(target, 5, items, 4, rng);
+      ExpectTopKMatchesBruteForce(snapshot);
+      // The full-row user has no candidates left under exclusion.
+      EXPECT_TRUE(snapshot.TopK(0, 10, /*exclude_observed=*/true).empty());
     }
   }
-}
-
-TEST(ServingSnapshotTest, TopKExcludesObservedItemsWhenAsked) {
-  Rng rng(14);
-  const size_t n = 12, m = 8;
-  const CellMap cells = RandomBaseCells(n, m, 2, 0.6, rng);
-  StreamingIsvd streaming(
-      2, 2, SparseIntervalMatrix::FromTriplets(n, m, ToTriplets(cells)));
-  const ServingSnapshot snapshot = SnapshotOf(streaming, 1);
-
-  for (size_t user = 0; user < n; ++user) {
-    const std::vector<ServingSnapshot::ScoredItem> top =
-        snapshot.TopK(user, m, /*exclude_observed=*/true);
-    size_t observed = 0;
-    for (size_t j = 0; j < m; ++j) {
-      if (cells.count({user, j}) > 0) ++observed;
-    }
-    EXPECT_EQ(top.size(), m - observed);
-    for (const ServingSnapshot::ScoredItem& s : top) {
-      EXPECT_EQ(cells.count({user, s.item}), 0u)
-          << "served an already-rated item";
-    }
+  // The signed factors do reach target b's average replacement.
+  const ServingSnapshot b =
+      HandBuiltSnapshot(DecompositionTarget::kB, 2, 17, 4, rng);
+  size_t replaced = 0;
+  for (size_t j = 0; j < b.items(); ++j) {
+    if (b.Predict(0, j).Span() == 0.0) ++replaced;
   }
+  EXPECT_GT(replaced, 0u);
 }
 
-TEST(ServingSnapshotTest, TopKClampsToCandidateCount) {
+TEST(ServingSnapshotTest, TopKMatchesBruteForceAtRankZero) {
   Rng rng(15);
-  const CellMap cells = RandomBaseCells(6, 4, 2, 0.7, rng);
-  StreamingIsvd streaming(
-      2, 2, SparseIntervalMatrix::FromTriplets(6, 4, ToTriplets(cells)));
-  const ServingSnapshot snapshot = SnapshotOf(streaming, 1);
-  EXPECT_EQ(snapshot.TopK(0, 100).size(), 4u);
+  for (const DecompositionTarget target :
+       {DecompositionTarget::kA, DecompositionTarget::kB,
+        DecompositionTarget::kC}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "target " << static_cast<int>(target));
+    const ServingSnapshot snapshot =
+        HandBuiltSnapshot(target, 4, 19, 0, rng);
+    ASSERT_EQ(snapshot.rank(), 0u);
+    ExpectTopKMatchesBruteForce(snapshot);
+  }
 }
+
+// The same contract on factors a decomposition produced, every target.
+TEST(ServingSnapshotTest, TopKMatchesBruteForceOnDecomposedFactors) {
+  Rng rng(14);
+  const size_t n = 18, m = 14;
+  const CellMap cells = RandomBaseCells(n, m, 3, 0.5, rng);
+  const SparseIntervalMatrix base =
+      SparseIntervalMatrix::FromTriplets(n, m, ToTriplets(cells));
+  for (const DecompositionTarget target :
+       {DecompositionTarget::kA, DecompositionTarget::kB,
+        DecompositionTarget::kC}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "target " << static_cast<int>(target));
+    StreamingIsvdOptions options;
+    options.isvd.target = target;
+    StreamingIsvd streaming(3, 3, base, options);
+    ExpectTopKMatchesBruteForce(SnapshotOf(streaming, 1));
+  }
+}
+
+// Death tests fork, which ThreadSanitizer does not support.
+#if defined(__SANITIZE_THREAD__)
+#define IVMF_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define IVMF_TSAN_BUILD 1
+#endif
+#endif
+
+#ifndef IVMF_TSAN_BUILD
+// Factors whose rank disagrees with sigma would make Predict and TopK read
+// past a factor row; the constructor rejects them in every build.
+TEST(ServingSnapshotDeathTest, RejectsFactorsWhoseRankDisagreesWithSigma) {
+  const auto matrix = std::make_shared<const SparseIntervalMatrix>(
+      SparseIntervalMatrix::FromTriplets(3, 4, {{0, 0, Interval(1.0, 2.0)}}));
+  const auto result = [](size_t u_cols, size_t v_cols, size_t rank) {
+    IsvdResult r;
+    r.u = IntervalMatrix(3, u_cols);
+    r.v = IntervalMatrix(4, v_cols);
+    r.sigma.assign(rank, Interval(1.0, 1.0));
+    return r;
+  };
+  EXPECT_DEATH(ServingSnapshot(1, result(2, 3, 3), matrix),
+               "factor ranks do not match sigma");
+  EXPECT_DEATH(ServingSnapshot(1, result(3, 2, 3), matrix),
+               "factor ranks do not match sigma");
+  EXPECT_DEATH(ServingSnapshot(1, result(3, 3, 2), matrix),
+               "factor ranks do not match sigma");
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // SnapshotRegistry
