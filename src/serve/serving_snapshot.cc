@@ -25,7 +25,7 @@ typedef double Pair __attribute__((vector_size(16)));
 constexpr size_t kPairs = kBlock / 2;
 
 Pair Load(const double* p) {
-  Pair v;
+  Pair v = {};
   std::memcpy(&v, p, sizeof v);
   return v;
 }
@@ -53,14 +53,15 @@ Matrix KMajor(const Matrix& v) {
 void BlockKeysA(const double* us_lo, const double* us_hi, size_t rank,
                 const Matrix& v_lo, const Matrix& v_hi, size_t j0,
                 double* key) {
-  constexpr size_t kHalf = kPairs / 2;
-  for (size_t h = 0; h < kBlock; h += 2 * kHalf) {
-    Pair t1[kHalf] = {}, t2[kHalf] = {}, t3[kHalf] = {}, t4[kHalf] = {};
+  constexpr size_t kHalfPairs = kPairs / 2;
+  for (size_t h = 0; h < kBlock; h += kBlock / 2) {
+    Pair t1[kHalfPairs] = {}, t2[kHalfPairs] = {}, t3[kHalfPairs] = {},
+         t4[kHalfPairs] = {};
     for (size_t k = 0; k < rank; ++k) {
       const Pair lo = Splat(us_lo[k]), hi = Splat(us_hi[k]);
       const double* vlo = v_lo.RowPtr(k) + j0 + h;
       const double* vhi = v_hi.RowPtr(k) + j0 + h;
-      for (size_t p = 0; p < kHalf; ++p) {
+      for (size_t p = 0; p < kHalfPairs; ++p) {
         const Pair vl = Load(vlo + 2 * p), vh = Load(vhi + 2 * p);
         t1[p] += lo * vl;
         t2[p] += lo * vh;
@@ -68,7 +69,7 @@ void BlockKeysA(const double* us_lo, const double* us_hi, size_t rank,
         t4[p] += hi * vh;
       }
     }
-    for (size_t b = 0; b < 2 * kHalf; ++b) {
+    for (size_t b = 0; b < kBlock / 2; ++b) {
       const size_t p = b / 2, l = b % 2;
       const double lo = std::min(std::min(t1[p][l], t2[p][l]),
                                  std::min(t3[p][l], t4[p][l]));
@@ -141,7 +142,7 @@ std::vector<Ranked> SelectTop(size_t items, const size_t* rated,
                               BlockKeys block_keys) {
   std::vector<Ranked> heap;
   heap.reserve(take);
-  double key[kBlock];
+  double key[kBlock] = {};
   for (size_t j0 = 0; j0 < items; j0 += kBlock) {
     block_keys(j0, key);
     const size_t block_end = std::min(items, j0 + kBlock);
