@@ -2,8 +2,8 @@
 // ISVD pipeline: scalar/interval matrix products, sparse CSR matvec
 // variants (with the obs matvec/nnz counters surfaced per iteration),
 // one-sided Jacobi SVD, symmetric Jacobi eigendecomposition, Hungarian
-// assignment, ILSA, a full ISVD4-b decomposition, and the serving layer's
-// TopK query.
+// assignment, ILSA, a full ISVD4-b decomposition, the serving layer's
+// TopK query, and the triplet reader.
 //
 // Like the fig10 benches, accepts --json[=PATH] (default
 // BENCH_microbench_kernels.json) and emits one flat record per benchmark
@@ -29,6 +29,7 @@
 #include "data/ratings.h"
 #include "data/synthetic.h"
 #include "interval/interval_matrix.h"
+#include "io/triplets.h"
 #include "linalg/eig.h"
 #include "linalg/svd.h"
 #include "obs/metrics.h"
@@ -360,6 +361,24 @@ BENCHMARK_CAPTURE(BM_ServingTopK, target_b, DecompositionTarget::kB)
     ->Arg(2000)
     ->Arg(20000);
 
+// -- Triplet ingest -------------------------------------------------------------
+//
+// SparseIntervalMatrixFromTriplets on CfMatrix(n) rendered at precision 17
+// (which round-trips every double). /2000 is ~2 MB of text, above the
+// reader's one-chunk size, so the CI filter runs a multi-chunk parse;
+// /20000 is the ~240 MB shape of the repository benchmark's ingest file.
+
+void BM_TripletParse(benchmark::State& state) {
+  const std::string text = SparseIntervalMatrixToTriplets(
+      CfMatrix(static_cast<size_t>(state.range(0))), 17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SparseIntervalMatrixFromTriplets(text));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_TripletParse)->Arg(2000)->Arg(20000);
+
 // -- Differential self-check (--check) ---------------------------------------
 //
 // Compares every dispatched kernel entry point against the scalar reference
@@ -500,6 +519,53 @@ bool RunTopKSelfCheck() {
   return ok;
 }
 
+// Returns true when the reader gives back CfMatrix(n) bit for bit from its
+// precision-17 text, both as written (sorted: the direct CSR route) and
+// with the entry lines shuffled (the FromTriplets route).
+bool RunTripletSelfCheck() {
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  bool ok = true;
+  for (size_t users : {501u, 2000u}) {
+    const SparseIntervalMatrix m = CfMatrix(users);
+    const std::string sorted = SparseIntervalMatrixToTriplets(m, 17);
+    const size_t body = sorted.find('\n', sorted.find('\n') + 1) + 1;
+    std::vector<std::string> lines;
+    for (size_t pos = body; pos < sorted.size();) {
+      const size_t next = sorted.find('\n', pos) + 1;
+      lines.push_back(sorted.substr(pos, next - pos));
+      pos = next;
+    }
+    Rng rng(17);
+    rng.Shuffle(lines);
+    std::string shuffled = sorted.substr(0, body);
+    for (const std::string& line : lines) shuffled += line;
+    const std::pair<const char*, const std::string*> texts[] = {
+        {"sorted", &sorted}, {"shuffled", &shuffled}};
+    for (const auto& [order, text] : texts) {
+      const auto parsed = SparseIntervalMatrixFromTriplets(*text);
+      const bool same = parsed && parsed->rows() == m.rows() &&
+                        parsed->cols() == m.cols() &&
+                        parsed->row_ptr() == m.row_ptr() &&
+                        parsed->col_idx() == m.col_idx() &&
+                        same_bits(parsed->lower_values(), m.lower_values()) &&
+                        same_bits(parsed->upper_values(), m.upper_values());
+      if (!same) {
+        std::fprintf(stderr,
+                     "check FAILED: triplet parse of CfMatrix(%zu) (%s) "
+                     "differs from the matrix\n",
+                     users, order);
+      }
+      ok &= same;
+    }
+  }
+  std::fprintf(stderr, "triplet self-check: %s\n", ok ? "OK" : "FAILED");
+  return ok;
+}
+
 }  // namespace
 
 // -- JSON capture -------------------------------------------------------------
@@ -577,12 +643,13 @@ int main(int argc, char** argv) {
     args.push_back(argv[i]);
   }
   // Differential gate: with --check, every vectorized backend must
-  // reproduce the scalar reference, and TopK the brute-force ranking, on
-  // the bench's own constructions before any timing runs — a diverged
-  // kernel cannot publish numbers.
+  // reproduce the scalar reference, TopK the brute-force ranking, and the
+  // triplet reader the matrix it parses, on the bench's own constructions
+  // before any timing runs — a diverged kernel cannot publish numbers.
   if (check) {
     bool ok = ivmf::RunKernelSelfCheck();
     ok &= ivmf::RunTopKSelfCheck();
+    ok &= ivmf::RunTripletSelfCheck();
     if (!ok) return 1;
   }
   int filtered_argc = static_cast<int>(args.size());

@@ -5,11 +5,14 @@
 #ifndef IVMF_IO_FILE_UTIL_H_
 #define IVMF_IO_FILE_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 namespace ivmf::io_internal {
 
@@ -19,9 +22,22 @@ inline std::string FormatDouble(double v, int precision) {
   return buf;
 }
 
+// Reads a whole file. A regular file is sized first and read in one call
+// into one buffer of its size; anything else (a pipe, a directory, or a
+// file that reports size 0) is copied through the stream buffer, which
+// grows as it goes.
 inline std::optional<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec && size > 0) {
+    std::string text(static_cast<size_t>(size), '\0');
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    if (in.bad()) return std::nullopt;
+    text.resize(static_cast<size_t>(in.gcount()));
+    return text;
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();

@@ -104,10 +104,12 @@ int main(int argc, char** argv) {
   std::optional<SparseIntervalMatrix> sparse;
   std::optional<IntervalMatrix> m;
   if (sparse_input) {
-    sparse = SparseIntervalMatrixFromTriplets(text);
+    std::string error;
+    sparse = SparseIntervalMatrixFromTriplets(text, DuplicatePolicy::kReject,
+                                              &error);
     if (!sparse) {
       obs::LogError("decompose_cli", "cannot parse interval triplets",
-                    {{"path", input}});
+                    {{"path", input}, {"error", error}});
       return 1;
     }
     // Densify small matrices so accuracy / reconstruction still work.

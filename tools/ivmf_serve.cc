@@ -125,11 +125,12 @@ int main(int argc, char** argv) {
   SparseIntervalMatrix base;
   const std::string input = StringFlag(argc, argv, "input", "");
   if (!input.empty()) {
+    std::string error;
     std::optional<SparseIntervalMatrix> loaded =
-        LoadSparseIntervalTriplets(input);
+        LoadSparseIntervalTriplets(input, DuplicatePolicy::kReject, &error);
     if (!loaded) {
       obs::LogError("serve_cli", "cannot parse base triplets",
-                    {{"path", input}});
+                    {{"path", input}, {"error", error}});
       return 1;
     }
     base = std::move(*loaded);

@@ -108,20 +108,21 @@ int main(int argc, char** argv) {
   std::vector<std::vector<IntervalTriplet>> batches;
   const std::string input = StringFlag(argc, argv, "input", "");
   if (!input.empty()) {
+    std::string error;
     std::optional<SparseIntervalMatrix> loaded =
-        LoadSparseIntervalTriplets(input);
+        LoadSparseIntervalTriplets(input, DuplicatePolicy::kReject, &error);
     if (!loaded) {
       obs::LogError("stream_cli", "cannot parse base triplets",
-                    {{"path", input}});
+                    {{"path", input}, {"error", error}});
       return 1;
     }
     base = std::move(*loaded);
     for (const std::string& path : RepeatedFlag(argc, argv, "batch")) {
       std::optional<SparseIntervalMatrix> batch =
-          LoadSparseIntervalTriplets(path);
+          LoadSparseIntervalTriplets(path, DuplicatePolicy::kReject, &error);
       if (!batch) {
         obs::LogError("stream_cli", "cannot parse batch triplets",
-                      {{"path", path}});
+                      {{"path", path}, {"error", error}});
         return 1;
       }
       if (batch->rows() != base.rows() || batch->cols() != base.cols()) {
