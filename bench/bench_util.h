@@ -174,8 +174,12 @@ struct SolverCounterDeltas {
     const auto delta = [&](const char* prefix) {
       return after.CounterSum(prefix) - before.CounterSum(prefix);
     };
-    matvecs = delta("sparse.matvec.calls");
-    matvec_nnz = delta("sparse.matvec.nnz");
+    // CSR kernels count under sparse.matvec.*, block-row store kernels
+    // (every sparse ISVD and refresh) under sparse.sharded.matvec.*.
+    matvecs = delta("sparse.matvec.calls") +
+              delta("sparse.sharded.matvec.calls");
+    matvec_nnz =
+        delta("sparse.matvec.nnz") + delta("sparse.sharded.matvec.nnz");
     iterations =
         delta("lanczos.eig.iterations") + delta("lanczos.svd.iterations");
     restarts = delta("lanczos.eig.restarts") + delta("lanczos.svd.restarts");

@@ -34,7 +34,6 @@
 #include "linalg/svd.h"
 #include "obs/metrics.h"
 #include "serve/serving_snapshot.h"
-#include "sparse/sparse_gram_operator.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "sparse/sparse_kernels.h"
 
@@ -163,6 +162,21 @@ std::string ResolvedName(const SparseIntervalMatrix& m) {
   return spk::BackendName(spk::Resolve(m.ResolvedKernel()));
 }
 
+// y_lo = M_*ᵀ(M_* x) and y_hi = M^*ᵀ(M^* x): the fused one-pass kernel on
+// AVX2, else MultiplyBoth into t_lo/t_hi and MultiplyPair over the held
+// transpose mt.
+void GramBoth(const SparseIntervalMatrix& m, const SparseIntervalMatrix& mt,
+              const std::vector<double>& x, std::vector<double>& t_lo,
+              std::vector<double>& t_hi, std::vector<double>& y_lo,
+              std::vector<double>& y_hi) {
+  if (spk::Resolve(m.ResolvedKernel()) == spk::Backend::kAvx2) {
+    m.GramMultiplyBoth(x, y_lo, y_hi);
+    return;
+  }
+  m.MultiplyBoth(x, t_lo, t_hi);
+  mt.MultiplyPair(t_lo, t_hi, y_lo, y_hi);
+}
+
 // Per-iteration counter deltas into the benchmark's user counters.
 void ReportMatvecCounters(benchmark::State& state,
                           const obs::MetricsSnapshot& before) {
@@ -244,12 +258,19 @@ void SparseGramApplyBench(benchmark::State& state, spk::Backend backend) {
       CfMatrix(static_cast<size_t>(state.range(0)), backend);
   state.SetLabel(ResolvedName(m));
   const SparseIntervalMatrix mt = m.Transpose();
-  const SparseGramOperator gram(m, mt,
-                                SparseIntervalMatrix::Endpoint::kUpper);
-  std::vector<double> x(gram.Dim(), 1.0), y;
+  const auto e = SparseIntervalMatrix::Endpoint::kUpper;
+  // y = M_eᵀ (M_e x): the fused one-pass kernel on AVX2, else the two-pass
+  // composition over the held transpose.
+  const bool fused = spk::Resolve(m.ResolvedKernel()) == spk::Backend::kAvx2;
+  std::vector<double> x(m.cols(), 1.0), scratch, y;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
-    gram.Apply(x, y);
+    if (fused) {
+      m.GramMultiply(e, x, y);
+    } else {
+      m.Multiply(e, x, scratch);
+      mt.Multiply(e, scratch, y);
+    }
     benchmark::DoNotOptimize(y.data());
   }
   ReportMatvecCounters(state, before);
@@ -275,12 +296,10 @@ void BM_SparseGramApplyBoth(benchmark::State& state) {
   const SparseIntervalMatrix m = CfMatrix(static_cast<size_t>(state.range(0)));
   state.SetLabel(ResolvedName(m));
   const SparseIntervalMatrix mt = m.Transpose();
-  const SparseGramOperator gram(m, mt,
-                                SparseIntervalMatrix::Endpoint::kUpper);
-  std::vector<double> x(gram.Dim(), 1.0), y_lo, y_hi;
+  std::vector<double> x(m.cols(), 1.0), y_lo, y_hi, t_lo, t_hi;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
-    gram.ApplyBoth(x, y_lo, y_hi);
+    GramBoth(m, mt, x, t_lo, t_hi, y_lo, y_hi);
     benchmark::DoNotOptimize(y_lo.data());
     benchmark::DoNotOptimize(y_hi.data());
   }
@@ -445,10 +464,9 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
   std::vector<double> dg(dense_got.data(),
                          dense_got.data() + dense_got.rows() * 4);
   ok &= VectorsAgree(dg, dw, (label + "/dense").c_str());
-  const SparseGramOperator scalar_gram(scalar, scalar_t, kLower);
-  const SparseGramOperator gram(m, mt, kLower);
-  scalar_gram.ApplyBoth(x, want, want2);
-  gram.ApplyBoth(x, got, got2);
+  std::vector<double> t_lo, t_hi;
+  GramBoth(scalar, scalar_t, x, t_lo, t_hi, want, want2);
+  GramBoth(m, mt, x, t_lo, t_hi, got, got2);
   ok &= VectorsAgree(got, want, (label + "/gram.lo").c_str());
   ok &= VectorsAgree(got2, want2, (label + "/gram.hi").c_str());
   return ok;

@@ -1,5 +1,6 @@
 #include "core/sparse_isvd.h"
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -10,8 +11,6 @@
 #include "linalg/lanczos.h"
 #include "linalg/lanczos_svd.h"
 #include "linalg/pinv.h"
-#include "sparse/block_matrix.h"
-#include "sparse/sparse_gram_operator.h"
 
 namespace ivmf {
 namespace {
@@ -22,12 +21,7 @@ using isvd_internal::MakeIntervalDiag;
 using isvd_internal::ScaleColumnsByInverseSigma;
 using isvd_internal::SqrtClamped;
 
-using Endpoint = SparseIntervalMatrix::Endpoint;
-
-GramSide ResolveSide(const SparseIntervalMatrix& m, GramSide side) {
-  if (side != GramSide::kAuto) return side;
-  return m.cols() <= m.rows() ? GramSide::kMtM : GramSide::kMMt;
-}
+using Endpoint = ShardedSparseIntervalMatrix::Endpoint;
 
 // Per-endpoint Krylov options: the shared policy plus the endpoint's
 // warm-start basis (when the streaming driver carried one).
@@ -42,15 +36,12 @@ LanczosOptions SideLanczos(const IsvdOptions& options, bool upper) {
 // to match. The dense path never hits this (dense constructions always have
 // cells); the sparse entry points guard it so CLI / streaming callers fed an
 // empty matrix get a well-formed rank-0 result instead of an abort.
-// Templated over the matrix type: the monolithic CSR and the sharded store
-// share these helpers (both expose rows/cols/MultiplyDense/...).
-template <typename SparseMat>
-bool DegenerateShape(const SparseMat& m) {
+bool DegenerateShape(const ShardedSparseIntervalMatrix& m) {
   return m.rows() == 0 || m.cols() == 0;
 }
 
-template <typename SparseMat>
-IsvdResult EmptyResult(const SparseMat& m, DecompositionTarget target) {
+IsvdResult EmptyResult(const ShardedSparseIntervalMatrix& m,
+                       DecompositionTarget target) {
   IsvdResult result;
   result.target = target;
   result.u = IntervalMatrix(m.rows(), 0);
@@ -59,25 +50,11 @@ IsvdResult EmptyResult(const SparseMat& m, DecompositionTarget target) {
 }
 
 // Sparse counterpart of the SVD identity U = M V Σ⁻¹.
-template <typename SparseMat>
-Matrix RecoverLeftFactor(const SparseMat& m, Endpoint e, const Matrix& v,
-                         const std::vector<double>& sigma) {
+Matrix RecoverLeftFactor(const ShardedSparseIntervalMatrix& m, Endpoint e,
+                         const Matrix& v, const std::vector<double>& sigma) {
   Matrix u = m.MultiplyDense(e, v);  // n x r
   ScaleColumnsByInverseSigma(u, sigma);
   return u;
-}
-
-void SwapFactors(IsvdResult& result) { std::swap(result.u, result.v); }
-
-// Binds the working matrix (M† or M†ᵀ) without copying the CSR arrays in
-// the common non-transposed case; `storage` only materializes on the kMMt
-// route.
-const SparseIntervalMatrix& BindWork(const SparseIntervalMatrix& m,
-                                     bool transposed,
-                                     SparseIntervalMatrix& storage) {
-  if (!transposed) return m;
-  storage = m.Transpose();
-  return storage;
 }
 
 // The shared ISVD3/ISVD4 front half on the sparse path (mirrors the dense
@@ -90,9 +67,8 @@ struct SolvedLeft {
   PhaseTimings timings;
 };
 
-template <typename SparseMat>
-SolvedLeft SolveLeftFactor(const SparseMat& work, const GramEig& gram,
-                           const IsvdOptions& options) {
+SolvedLeft SolveLeftFactor(const ShardedSparseIntervalMatrix& work,
+                           const GramEig& gram, const IsvdOptions& options) {
   SolvedLeft out;
   out.timings.preprocess = gram.preprocess_seconds;
   out.timings.decompose = gram.decompose_seconds;
@@ -126,311 +102,21 @@ SolvedLeft SolveLeftFactor(const SparseMat& work, const GramEig& gram,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ISVD0 — average and decompose (Section 4.1), matrix-free.
-// ---------------------------------------------------------------------------
-
-IsvdResult Isvd0(const SparseIntervalMatrix& m, size_t rank,
-                 const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, DecompositionTarget::kC);
-  const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
-  PhaseTimings timings;
-
-  Stopwatch sw;
-  const SparseIntervalMatrix mt = m.Transpose();
-  timings.preprocess = sw.Seconds();
-
-  sw.Restart();
-  const SparseEndpointMap mid(m, mt, SparseEndpointMap::Part::kMid);
-  // ISVD0's single midpoint solve reads the lo warm-basis slot.
-  const SvdResult svd = ComputeLanczosSvd(mid, r, SideLanczos(options, false));
-  timings.decompose = sw.Seconds();
-  IVMF_CHECK_MSG(!svd.truncated,
-                 "Lanczos SVD truncated the midpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
-
-  IsvdResult result;
-  result.iterations = svd.iterations;
-  result.target = DecompositionTarget::kC;  // ISVD0 is inherently scalar.
-  result.u = IntervalMatrix::FromScalar(svd.u);
-  result.v = IntervalMatrix::FromScalar(svd.v);
-  result.sigma.resize(svd.sigma.size());
-  for (size_t j = 0; j < svd.sigma.size(); ++j)
-    result.sigma[j] = Interval::Scalar(svd.sigma[j]);
-  result.timings = timings;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// ISVD1 — decompose and align (Section 4.2), matrix-free.
-// ---------------------------------------------------------------------------
-
-IsvdResult Isvd1(const SparseIntervalMatrix& m, size_t rank,
-                 const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
-  PhaseTimings timings;
-
-  Stopwatch sw;
-  const SparseIntervalMatrix mt = m.Transpose();
-  timings.preprocess = sw.Seconds();
-
-  // Independent endpoint decompositions run on two threads, sharing the
-  // transposed pattern. SparseEndpointMap consumes the endpoint values
-  // directly, so signed matrices need no special casing here.
-  sw.Restart();
-  SvdResult lo, hi;
-  ParallelFor(0, 2, [&](size_t side) {
-    const SparseEndpointMap map(m, mt,
-                                side == 0 ? SparseEndpointMap::Part::kLower
-                                          : SparseEndpointMap::Part::kUpper);
-    (side == 0 ? lo : hi) =
-        ComputeLanczosSvd(map, r, SideLanczos(options, side == 1));
-  });
-  timings.decompose = sw.Seconds();
-  // Truncation would break the lo/hi pairing below (mismatched triplet
-  // counts) with an opaque shape error; fail with the cause instead.
-  IVMF_CHECK_MSG(!lo.truncated && !hi.truncated,
-                 "Lanczos SVD truncated an endpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
-
-  sw.Restart();
-  const IlsaResult ilsa = ComputeIlsa(lo.v, hi.v, options.ilsa);
-  Matrix u_lo = lo.u;
-  Matrix v_lo = lo.v;
-  std::vector<double> s_lo = lo.sigma;
-  AlignMinSide(ilsa, &u_lo, &v_lo, &s_lo);
-  timings.align = sw.Seconds();
-
-  IsvdResult result = BuildResult(IntervalMatrix(std::move(u_lo), hi.u),
-                                  MakeIntervalDiag(s_lo, hi.sigma),
-                                  IntervalMatrix(std::move(v_lo), hi.v),
-                                  options.target, timings);
-  result.iterations = lo.iterations + hi.iterations;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Shared Gram eigendecomposition for ISVD2–ISVD4.
-// ---------------------------------------------------------------------------
-
-GramEig ComputeGramEig(const SparseIntervalMatrix& m, size_t rank,
-                       const IsvdOptions& options) {
-  GramEig result;
-  if (DegenerateShape(m)) return result;  // rank-0 eigendecomposition
-  result.transposed = (ResolveSide(m, options.gram_side) == GramSide::kMMt);
-  SparseIntervalMatrix work_storage;
-  const SparseIntervalMatrix& work =
-      BindWork(m, result.transposed, work_storage);
-  const size_t r = isvd_internal::ClampRank(work.rows(), work.cols(), rank);
-
-  bool use_lanczos = options.eig_solver != EigSolver::kJacobi;
-  if (options.eig_solver == EigSolver::kAuto) {
-    use_lanczos = 4 * r < work.cols();
-  }
-
-  if (!m.IsNonNegative()) {
-    // Signed route: the Algorithm-1 Gram endpoints are elementwise min/max
-    // over four products and have no operator form, so they are accumulated
-    // from the sparse rows (never densifying M†) and handed to the same
-    // solver choice the dense path makes — the results are term-for-term
-    // identical to IntervalMatMul(M†ᵀ, M†) + eig.
-    Stopwatch sw;
-    result.gram = SparseGramOperator::DenseGramEndpoints(work);
-    result.preprocess_seconds = sw.Seconds();
-
-    sw.Restart();
-    ParallelFor(0, 2, [&](size_t side) {
-      const Matrix& endpoint =
-          side == 0 ? result.gram.lower() : result.gram.upper();
-      EigResult& out = side == 0 ? result.lo : result.hi;
-      out = use_lanczos
-                ? ComputeLanczosEig(endpoint, r, SideLanczos(options, side == 1))
-                : ComputeSymmetricEig(endpoint, r, options.eig);
-    });
-    result.iterations = result.lo.iterations + result.hi.iterations;
-    IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
-                   "Lanczos truncated a Gram endpoint spectrum "
-                   "(restart exhausted; see LanczosOptions::restart_tolerance)");
-    result.decompose_seconds = sw.Seconds();
-    return result;
-  }
-
-  if (!use_lanczos) {
-    // Exact route for narrow matrices: accumulate the dense endpoint Grams
-    // from the sparse rows, then Jacobi. For entrywise non-negative input
-    // these are exactly the Algorithm-1 interval Gram endpoints.
-    Stopwatch sw;
-    Matrix gram_lo = SparseGramOperator::DenseGram(work, Endpoint::kLower);
-    Matrix gram_hi = SparseGramOperator::DenseGram(work, Endpoint::kUpper);
-    result.gram = IntervalMatrix(std::move(gram_lo), std::move(gram_hi));
-    result.preprocess_seconds = sw.Seconds();
-
-    sw.Restart();
-    ParallelFor(0, 2, [&](size_t side) {
-      const Matrix& endpoint =
-          side == 0 ? result.gram.lower() : result.gram.upper();
-      EigResult& out = side == 0 ? result.lo : result.hi;
-      out = ComputeSymmetricEig(endpoint, r, options.eig);
-    });
-    result.decompose_seconds = sw.Seconds();
-    return result;
-  }
-
-  // Matrix-free route: the Gram matrix is never formed. Building the shared
-  // transpose once is the whole preprocess phase.
-  Stopwatch sw;
-  const SparseIntervalMatrix work_t = work.Transpose();
-  result.preprocess_seconds = sw.Seconds();
-
-  sw.Restart();
-  ParallelFor(0, 2, [&](size_t side) {
-    const Endpoint e = side == 0 ? Endpoint::kLower : Endpoint::kUpper;
-    const SparseGramOperator op(work, work_t, e);
-    EigResult& out = side == 0 ? result.lo : result.hi;
-    out = ComputeLanczosEig(op, r, SideLanczos(options, side == 1));
-  });
-  result.iterations = result.lo.iterations + result.hi.iterations;
-  IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
-                 "Lanczos truncated a Gram endpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
-  result.decompose_seconds = sw.Seconds();
-  return result;
-}
-
-IsvdResult Isvd2(const SparseIntervalMatrix& m, size_t rank,
-                 const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;  // rank is baked into `gram`
-  SparseIntervalMatrix work_storage;
-  const SparseIntervalMatrix& work = BindWork(m, gram.transposed, work_storage);
-  PhaseTimings timings;
-  timings.preprocess = gram.preprocess_seconds;
-  timings.decompose = gram.decompose_seconds;
-
-  Matrix v_lo = gram.lo.eigenvectors;
-  Matrix v_hi = gram.hi.eigenvectors;
-  std::vector<double> s_lo = SqrtClamped(gram.lo.eigenvalues);
-  std::vector<double> s_hi = SqrtClamped(gram.hi.eigenvalues);
-
-  Stopwatch sw;
-  Matrix u_lo = RecoverLeftFactor(work, Endpoint::kLower, v_lo, s_lo);
-  Matrix u_hi = RecoverLeftFactor(work, Endpoint::kUpper, v_hi, s_hi);
-  timings.solve = sw.Seconds();
-
-  sw.Restart();
-  const IlsaResult ilsa = ComputeIlsa(v_lo, v_hi, options.ilsa);
-  AlignMinSide(ilsa, &u_lo, &v_lo, &s_lo);
-  timings.align = sw.Seconds();
-
-  IsvdResult result =
-      BuildResult(IntervalMatrix(std::move(u_lo), std::move(u_hi)),
-                  MakeIntervalDiag(s_lo, s_hi),
-                  IntervalMatrix(std::move(v_lo), std::move(v_hi)),
-                  options.target, timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
-  return result;
-}
-
-IsvdResult Isvd3(const SparseIntervalMatrix& m, size_t rank,
-                 const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;
-  SparseIntervalMatrix work_storage;
-  const SparseIntervalMatrix& work = BindWork(m, gram.transposed, work_storage);
-  SolvedLeft solved = SolveLeftFactor(work, gram, options);
-  IsvdResult result =
-      BuildResult(std::move(solved.u), std::move(solved.sigma),
-                  std::move(solved.v), options.target, solved.timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
-  return result;
-}
-
-IsvdResult Isvd4(const SparseIntervalMatrix& m, size_t rank,
-                 const GramEig& gram, const IsvdOptions& options) {
-  if (DegenerateShape(m)) return EmptyResult(m, options.target);
-  (void)rank;
-  SparseIntervalMatrix work_storage;
-  const SparseIntervalMatrix& work = BindWork(m, gram.transposed, work_storage);
-  SolvedLeft solved = SolveLeftFactor(work, gram, options);
-
-  // Recompute V† from the solved U† (Section 4.5.1). The scalar prefix
-  // S = Σ†⁻¹ (U†ᵀ)⁻¹ is r x n, so V† = (S M†)ᵀ is evaluated as
-  // M†ᵀ Sᵀ — one sparse interval product on the transposed matrix, matching
-  // the dense mixed-product semantics. On the kMMt route workᵀ is just `m`
-  // again, so no transpose needs building at all.
-  Stopwatch sw;
-  const Matrix u_avg = solved.u.Mid();  // n x r
-  const Matrix u_inv = RobustInverse(u_avg, options.cond_threshold);  // r x n
-  const Matrix s_t = (solved.sigma_inv * u_inv).Transpose();          // n x r
-  SparseIntervalMatrix work_t_storage;
-  const SparseIntervalMatrix& work_t =
-      BindWork(m, !gram.transposed, work_t_storage);
-  const IntervalMatrix v_recomputed = work_t.IntervalMultiplyDense(s_t);
-  solved.timings.recompute = sw.Seconds();
-
-  IsvdResult result =
-      BuildResult(std::move(solved.u), std::move(solved.sigma), v_recomputed,
-                  options.target, solved.timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
-  return result;
-}
-
-IsvdResult Isvd2(const SparseIntervalMatrix& m, size_t rank,
-                 const IsvdOptions& options) {
-  return Isvd2(m, rank, ComputeGramEig(m, rank, options), options);
-}
-
-IsvdResult Isvd3(const SparseIntervalMatrix& m, size_t rank,
-                 const IsvdOptions& options) {
-  return Isvd3(m, rank, ComputeGramEig(m, rank, options), options);
-}
-
-IsvdResult Isvd4(const SparseIntervalMatrix& m, size_t rank,
-                 const IsvdOptions& options) {
-  return Isvd4(m, rank, ComputeGramEig(m, rank, options), options);
-}
-
-IsvdResult RunIsvd(int strategy, const SparseIntervalMatrix& m, size_t rank,
-                   const IsvdOptions& options) {
-  switch (strategy) {
-    case 0:
-      return Isvd0(m, rank, options);
-    case 1:
-      return Isvd1(m, rank, options);
-    case 2:
-      return Isvd2(m, rank, options);
-    case 3:
-      return Isvd3(m, rank, options);
-    case 4:
-      return Isvd4(m, rank, options);
-    default:
-      IVMF_CHECK_MSG(false, "ISVD strategy must be 0..4");
-      return {};
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded (block-row) overloads — the out-of-core route.
+// The strategy family over the block-row store.
 //
-// These mirror the monolithic functions above through the unchanged Lanczos
-// drivers; all O(nnz) work runs through the shard-parallel kernels, which
-// stream mmap'd segments when the store is disk-backed. One structural
-// difference: the sharded route always eigendecomposes MᵀM (ShardedGramOp-
-// erator is M_eᵀ(M_e x) by construction) and never materializes a transposed
-// store — the transpose actions run as shard scatter reductions instead —
-// so GramSide::kMMt / kAuto collapse to kMtM here. Wide matrices that would
-// have preferred MMᵀ pay a cols² scratch; an out-of-core store cannot
-// afford a second copy of itself.
+// All O(nnz) work runs through the shard-parallel kernels, which stream
+// mmap'd segments when the store is disk-backed. The Gram is always MᵀM
+// (ShardedGramOperator is M_eᵀ(M_e x) by construction), and transposed
+// products run as shard scatter reductions, so nothing here ever builds a
+// transposed store. The CSR overloads at the bottom reach the MMᵀ side by
+// running this code on a view of the transpose.
 // ---------------------------------------------------------------------------
 
 IsvdResult Isvd0(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
   if (DegenerateShape(m)) return EmptyResult(m, DecompositionTarget::kC);
   const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
-  PhaseTimings timings;  // no transpose to build: preprocess stays zero
+  PhaseTimings timings;  // nothing to preprocess: no transpose is built
 
   Stopwatch sw;
   const ShardedEndpointMap mid(m, ShardedEndpointMap::Part::kMid);
@@ -491,8 +177,7 @@ IsvdResult Isvd1(const ShardedSparseIntervalMatrix& m, size_t rank,
 GramEig ComputeGramEig(const ShardedSparseIntervalMatrix& m, size_t rank,
                        const IsvdOptions& options) {
   GramEig result;
-  if (DegenerateShape(m)) return result;
-  result.transposed = false;  // always MᵀM on the sharded route (see above)
+  if (DegenerateShape(m)) return result;  // rank-0 eigendecomposition
   const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
 
   bool use_lanczos = options.eig_solver != EigSolver::kJacobi;
@@ -500,60 +185,41 @@ GramEig ComputeGramEig(const ShardedSparseIntervalMatrix& m, size_t rank,
     use_lanczos = 4 * r < m.cols();
   }
 
-  if (!m.IsNonNegative()) {
-    // Signed route: shard-sequential accumulation in the same addition
-    // order as the monolithic DenseGramEndpoints — bit-identical Grams.
-    Stopwatch sw;
-    result.gram = ShardedSparseIntervalMatrix::DenseGramEndpoints(m);
-    result.preprocess_seconds = sw.Seconds();
-
-    sw.Restart();
-    ParallelFor(0, 2, [&](size_t side) {
-      const Matrix& endpoint =
-          side == 0 ? result.gram.lower() : result.gram.upper();
-      EigResult& out = side == 0 ? result.lo : result.hi;
-      out = use_lanczos
-                ? ComputeLanczosEig(endpoint, r,
-                                    SideLanczos(options, side == 1))
-                : ComputeSymmetricEig(endpoint, r, options.eig);
-    });
-    result.iterations = result.lo.iterations + result.hi.iterations;
-    IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
-                   "Lanczos truncated a Gram endpoint spectrum "
-                   "(restart exhausted; see LanczosOptions::restart_tolerance)");
-    result.decompose_seconds = sw.Seconds();
-    return result;
-  }
-
-  if (!use_lanczos) {
-    Stopwatch sw;
-    Matrix gram_lo =
-        ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kLower);
-    Matrix gram_hi =
-        ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kUpper);
-    result.gram = IntervalMatrix(std::move(gram_lo), std::move(gram_hi));
-    result.preprocess_seconds = sw.Seconds();
-
-    sw.Restart();
-    ParallelFor(0, 2, [&](size_t side) {
-      const Matrix& endpoint =
-          side == 0 ? result.gram.lower() : result.gram.upper();
-      EigResult& out = side == 0 ? result.lo : result.hi;
-      out = ComputeSymmetricEig(endpoint, r, options.eig);
-    });
-    result.decompose_seconds = sw.Seconds();
-    return result;
-  }
-
-  // Matrix-free route: no transpose, no Gram — each Lanczos step is one
-  // fused shard-parallel pass over the store. There is no preprocess phase
-  // to charge; it is all decompose time.
+  // Signed input needs the dense Gram endpoints: the Algorithm-1 endpoints
+  // are elementwise min/max over four products and have no operator form,
+  // so they are accumulated from the sparse rows (never densifying M†) —
+  // term-for-term identical to IntervalMatMul(M†ᵀ, M†). Non-negative input
+  // forms them only on the exact Jacobi route for narrow matrices, where
+  // they are M_*ᵀM_* and M^*ᵀM^*. Otherwise the route is matrix-free: each
+  // Lanczos step is one fused shard-parallel pass over the store, and there
+  // is no preprocess phase to charge.
+  const bool non_negative = m.IsNonNegative();
+  const bool dense_gram = !non_negative || !use_lanczos;
   Stopwatch sw;
+  if (dense_gram) {
+    result.gram =
+        non_negative
+            ? IntervalMatrix(
+                  ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kLower),
+                  ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kUpper))
+            : ShardedSparseIntervalMatrix::DenseGramEndpoints(m);
+    result.preprocess_seconds = sw.Seconds();
+    sw.Restart();
+  }
+
   ParallelFor(0, 2, [&](size_t side) {
-    const Endpoint e = side == 0 ? Endpoint::kLower : Endpoint::kUpper;
-    const ShardedGramOperator op(m, e);
-    EigResult& out = side == 0 ? result.lo : result.hi;
-    out = ComputeLanczosEig(op, r, SideLanczos(options, side == 1));
+    const bool upper = side == 1;
+    EigResult& out = upper ? result.hi : result.lo;
+    if (!dense_gram) {
+      const ShardedGramOperator op(m, upper ? Endpoint::kUpper
+                                            : Endpoint::kLower);
+      out = ComputeLanczosEig(op, r, SideLanczos(options, upper));
+      return;
+    }
+    const Matrix& endpoint = upper ? result.gram.upper() : result.gram.lower();
+    out = use_lanczos
+              ? ComputeLanczosEig(endpoint, r, SideLanczos(options, upper))
+              : ComputeSymmetricEig(endpoint, r, options.eig);
   });
   result.iterations = result.lo.iterations + result.hi.iterations;
   IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
@@ -613,10 +279,10 @@ IsvdResult Isvd4(const ShardedSparseIntervalMatrix& m, size_t rank,
   (void)rank;
   SolvedLeft solved = SolveLeftFactor(m, gram, options);
 
-  // Recompute V† = M†ᵀ Sᵀ (Section 4.5.1). The monolithic path builds the
-  // transposed CSR and runs a forward interval product; a sharded store has
-  // no transpose to build, so the transposed product runs directly as a
-  // shard scatter reduction.
+  // Recompute V† from the solved U† (Section 4.5.1). The scalar prefix
+  // S = Σ†⁻¹ (U†ᵀ)⁻¹ is r x n, so V† = (S M†)ᵀ is evaluated as M†ᵀ Sᵀ —
+  // one transposed sparse interval product, run as a shard scatter
+  // reduction, matching the dense mixed-product semantics.
   Stopwatch sw;
   const Matrix u_avg = solved.u.Mid();  // n x r
   const Matrix u_inv = RobustInverse(u_avg, options.cond_threshold);  // r x n
@@ -663,6 +329,132 @@ IsvdResult RunIsvd(int strategy, const ShardedSparseIntervalMatrix& m,
       IVMF_CHECK_MSG(false, "ISVD strategy must be 0..4");
       return {};
   }
+}
+
+// ---------------------------------------------------------------------------
+// CSR overloads: forwards through a zero-copy view.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// A block-row view of `base`, partitioned by ViewShardRows.
+ShardedSparseIntervalMatrix ViewOf(
+    std::shared_ptr<const SparseIntervalMatrix> base) {
+  const size_t shard_rows =
+      ShardedSparseIntervalMatrix::ViewShardRows(base->rows());
+  return ShardedSparseIntervalMatrix::View(std::move(base), shard_rows);
+}
+
+// A view of `m` itself through a non-owning shared_ptr (the aliasing
+// constructor with an empty owner): no CSR array is copied, and the view
+// must not outlive the call.
+ShardedSparseIntervalMatrix BorrowedView(const SparseIntervalMatrix& m) {
+  return ViewOf(std::shared_ptr<const SparseIntervalMatrix>(
+      std::shared_ptr<const SparseIntervalMatrix>(), &m));
+}
+
+// The kMMt work store: a view that owns m.Transpose(), the only transpose
+// in the family. Callers charge its time to preprocess.
+ShardedSparseIntervalMatrix TransposedView(const SparseIntervalMatrix& m) {
+  return ViewOf(std::make_shared<const SparseIntervalMatrix>(m.Transpose()));
+}
+
+// ISVD2–4 on a CSR matrix. The strategy runs on the work store of the Gram
+// side — `gram`'s, or the resolved options.gram_side when `gram` is null,
+// in which case the Gram is computed on that same store. kMtM borrows `m`;
+// kMMt runs on TransposedView(m) and swaps the factors back.
+IsvdResult GramStrategy(int strategy, const SparseIntervalMatrix& m,
+                        size_t rank, const GramEig* gram,
+                        const IsvdOptions& options) {
+  const bool transposed =
+      gram != nullptr ? gram->transposed
+                      : ResolveGramSide(m, options.gram_side) == GramSide::kMMt;
+  Stopwatch sw;
+  const ShardedSparseIntervalMatrix work =
+      transposed ? TransposedView(m) : BorrowedView(m);
+  const double transpose_seconds = transposed ? sw.Seconds() : 0.0;
+
+  IsvdResult result;
+  if (gram == nullptr) {
+    result = RunIsvd(strategy, work, rank, options);
+  } else if (strategy == 2) {
+    result = Isvd2(work, rank, *gram, options);
+  } else if (strategy == 3) {
+    result = Isvd3(work, rank, *gram, options);
+  } else {
+    result = Isvd4(work, rank, *gram, options);
+  }
+  result.timings.preprocess += transpose_seconds;
+  if (transposed) std::swap(result.u, result.v);
+  return result;
+}
+
+}  // namespace
+
+GramSide ResolveGramSide(const SparseIntervalMatrix& m, GramSide side) {
+  if (side != GramSide::kAuto) return side;
+  return m.cols() <= m.rows() ? GramSide::kMtM : GramSide::kMMt;
+}
+
+IsvdResult Isvd0(const SparseIntervalMatrix& m, size_t rank,
+                 const IsvdOptions& options) {
+  return RunIsvd(0, m, rank, options);
+}
+
+IsvdResult Isvd1(const SparseIntervalMatrix& m, size_t rank,
+                 const IsvdOptions& options) {
+  return RunIsvd(1, m, rank, options);
+}
+
+GramEig ComputeGramEig(const SparseIntervalMatrix& m, size_t rank,
+                       const IsvdOptions& options) {
+  if (ResolveGramSide(m, options.gram_side) == GramSide::kMtM) {
+    return ComputeGramEig(BorrowedView(m), rank, options);
+  }
+  Stopwatch sw;
+  const ShardedSparseIntervalMatrix work = TransposedView(m);
+  const double transpose_seconds = sw.Seconds();
+  GramEig gram = ComputeGramEig(work, rank, options);
+  gram.transposed = true;
+  gram.preprocess_seconds += transpose_seconds;
+  return gram;
+}
+
+IsvdResult Isvd2(const SparseIntervalMatrix& m, size_t rank,
+                 const GramEig& gram, const IsvdOptions& options) {
+  return GramStrategy(2, m, rank, &gram, options);
+}
+
+IsvdResult Isvd3(const SparseIntervalMatrix& m, size_t rank,
+                 const GramEig& gram, const IsvdOptions& options) {
+  return GramStrategy(3, m, rank, &gram, options);
+}
+
+IsvdResult Isvd4(const SparseIntervalMatrix& m, size_t rank,
+                 const GramEig& gram, const IsvdOptions& options) {
+  return GramStrategy(4, m, rank, &gram, options);
+}
+
+IsvdResult Isvd2(const SparseIntervalMatrix& m, size_t rank,
+                 const IsvdOptions& options) {
+  return RunIsvd(2, m, rank, options);
+}
+
+IsvdResult Isvd3(const SparseIntervalMatrix& m, size_t rank,
+                 const IsvdOptions& options) {
+  return RunIsvd(3, m, rank, options);
+}
+
+IsvdResult Isvd4(const SparseIntervalMatrix& m, size_t rank,
+                 const IsvdOptions& options) {
+  return RunIsvd(4, m, rank, options);
+}
+
+IsvdResult RunIsvd(int strategy, const SparseIntervalMatrix& m, size_t rank,
+                   const IsvdOptions& options) {
+  IVMF_CHECK_MSG(strategy >= 0 && strategy <= 4, "ISVD strategy must be 0..4");
+  if (strategy >= 2) return GramStrategy(strategy, m, rank, nullptr, options);
+  return RunIsvd(strategy, BorrowedView(m), rank, options);
 }
 
 }  // namespace ivmf

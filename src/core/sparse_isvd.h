@@ -1,25 +1,37 @@
 // Matrix-free ISVD over sparse interval matrices.
 //
-// Overloads of the full ISVD0–ISVD4 strategy family (core/isvd.h) that take
-// a CSR SparseIntervalMatrix and never materialize the dense endpoint
-// matrices:
+// Overloads of the full ISVD0–ISVD4 strategy family (core/isvd.h) that
+// never materialize the dense endpoint matrices. One implementation runs on
+// the block-row store ShardedSparseIntervalMatrix (sparse/block_matrix.h),
+// with every O(nnz) pass shard-parallel:
 //
 //  - ISVD0/ISVD1 decompose the midpoint / endpoint matrices through the
 //    Golub–Kahan–Lanczos bidiagonalization SVD (linalg/lanczos_svd.h) over
-//    SparseEndpointMap, O(nnz) per step, any sign.
+//    ShardedEndpointMap, O(nnz) per step, any sign.
 //  - ISVD2–ISVD4 eigendecompose the Algorithm-1 interval Gram endpoints.
 //    For entrywise non-negative matrices the endpoints collapse to M_*ᵀM_*
 //    and M^*ᵀM^*, and on the Lanczos route the eigensolver touches them
 //    only through x -> M_eᵀ(M_e x), O(nnz) per step — not even the m x m
 //    Gram is formed. For signed matrices the Algorithm-1 endpoints are
 //    elementwise min/max over four products and have no fixed operator
-//    form, so SparseGramOperator::DenseGramEndpoints accumulates them from
-//    the sparse rows (min(n, m)² memory, never densifying M†) before the
-//    eigensolve — exactly matching the dense IntervalMatMul route.
+//    form, so ShardedSparseIntervalMatrix::DenseGramEndpoints accumulates
+//    them from the sparse rows (min(n, m)² memory, never densifying M†)
+//    before the eigensolve — exactly matching the dense IntervalMatMul
+//    route.
 //
 // The downstream solve/align/recompute phases run on the small n x r /
 // m x r factors exactly as in the dense path, with sparse x dense kernels
-// substituted for the dense products.
+// substituted for the dense products. ISVD4's recompute is a transposed
+// product, run as a shard scatter reduction.
+//
+// The SparseIntervalMatrix overloads forward to that implementation
+// through a zero-copy View of the CSR arrays (shard size from
+// ShardedSparseIntervalMatrix::ViewShardRows). Their GramSide::kMtM runs
+// on the view of M with no transpose anywhere; kMMt runs the same code on
+// a view of M.Transpose() — the only transpose in the family, charged to
+// the preprocess phase — and swaps the factors, with GramEig::transposed
+// set. GramSide::kAuto picks the smaller Gram dimension, like the dense
+// path.
 //
 // Solver awareness (ISVD2–ISVD4):
 //   EigSolver::kLanczos  matrix-free on non-negative input (the scalable
@@ -30,9 +42,8 @@
 //                        useful for narrow matrices such as user-genre.
 //   EigSolver::kAuto     Lanczos when 4 * rank < gram dimension, else
 //                        Jacobi, mirroring the dense heuristic.
-// GramSide::kAuto picks the smaller Gram dimension, like the dense path.
 // ISVD0/ISVD1 always run the bidiagonalization SVD (it IS the sparse
-// route); eig_solver does not apply to them.
+// route); eig_solver and gram_side do not apply to them.
 
 #ifndef IVMF_CORE_SPARSE_ISVD_H_
 #define IVMF_CORE_SPARSE_ISVD_H_
@@ -43,9 +54,13 @@
 
 namespace ivmf {
 
+// The Gram side a SparseIntervalMatrix call of ISVD2–4 runs: `side` itself,
+// or for kAuto the smaller Gram (kMtM when cols <= rows, else kMMt).
+GramSide ResolveGramSide(const SparseIntervalMatrix& m, GramSide side);
+
 // ISVD0 (midpoint SVD) without materializing the midpoint matrix: the
 // Golub–Kahan–Lanczos solver applies ((M_* + M^*) / 2) x fused over the
-// shared CSR pattern. The result is always scalar (target c), like the
+// shared sparse pattern. The result is always scalar (target c), like the
 // dense overload.
 IsvdResult Isvd0(const SparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options = {});
@@ -85,19 +100,16 @@ IsvdResult Isvd4(const SparseIntervalMatrix& m, size_t rank,
 IsvdResult RunIsvd(int strategy, const SparseIntervalMatrix& m, size_t rank,
                    const IsvdOptions& options = {});
 
-// -- Sharded (block-row) overloads -------------------------------------------
+// -- Block-row store overloads ----------------------------------------------
 //
-// The same strategy family over a ShardedSparseIntervalMatrix: identical
-// semantics through the unchanged Lanczos drivers, with every O(nnz) pass
-// running shard-parallel — and streaming mmap'd segment files when the
-// store is disk-backed, which is the out-of-core decompose path
-// (bench/fig10_outofcore). Two differences from the monolithic overloads:
-//  - GramSide is always kMtM: the sharded operators never materialize a
-//    transposed store (transpose actions run as shard scatter reductions),
-//    so options.gram_side is ignored.
-//  - Results match the monolithic route to the kernels' 1e-12 differential
-//    bound (reduction grouping differs), except the signed Gram-endpoint
-//    accumulation, which is bit-identical by construction.
+// The implementation the overloads above forward to, callable on any
+// store — including mmap'd segment files, which is the out-of-core
+// decompose path (bench/fig10_outofcore). GramSide is always kMtM here and
+// options.gram_side is ignored: an mmap store cannot afford a transposed
+// copy of itself, so transposed products run as shard scatter reductions.
+// Results do not depend on the shard size beyond the reduction kernels'
+// roundoff, and the signed Gram-endpoint accumulation is bit-identical for
+// every partition.
 
 IsvdResult Isvd0(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options = {});

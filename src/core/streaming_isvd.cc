@@ -94,20 +94,14 @@ void StreamingIsvd::CaptureWarmBases() {
       warm_hi_ = result_.v.upper();
       break;
     default: {
-      // ISVD2–4 eigendecompose the Gram of the resolved side; its Ritz
-      // vectors surface as V (kMtM) or, after the factor swap, U (kMMt).
-      // Alignment permutations / sign flips and the target-b/c column
-      // renormalization only reshuffle and rescale columns, so the captured
-      // factor still spans the dominant subspace — all a warm start needs.
-      GramSide side = options_.isvd.gram_side;
-      if (options_.shard_rows > 0) {
-        // The sharded route never materializes a transposed store, so it
-        // always resolves kMtM (sparse_isvd.h) — the Ritz basis is V.
-        side = GramSide::kMtM;
-      } else if (side == GramSide::kAuto) {
-        side = matrix_.cols() <= matrix_.rows() ? GramSide::kMtM
-                                                : GramSide::kMMt;
-      }
+      // ISVD2–4 eigendecompose the Gram of the side RunIsvd resolved; its
+      // Ritz vectors surface as V (kMtM) or, after the factor swap, U
+      // (kMMt). Alignment permutations / sign flips and the target-b/c
+      // column renormalization only reshuffle and rescale columns, so the
+      // captured factor still spans the dominant subspace — all a warm
+      // start needs.
+      const GramSide side =
+          ResolveGramSide(*snapshot_, options_.isvd.gram_side);
       const IntervalMatrix& factor =
           side == GramSide::kMMt ? result_.u : result_.v;
       warm_lo_ = factor.lower();
@@ -152,12 +146,6 @@ const IsvdResult& StreamingIsvd::Refresh() {
   {
     obs::TraceSpan snapshot_span("streaming.snapshot");
     snapshot_ = matrix_.SharedSnapshot();
-    if (options_.shard_rows > 0) {
-      // Zero-copy block-row partition over the frozen view; the serving
-      // layer freezes this alongside the factors.
-      sharded_snapshot_ = std::make_shared<const ShardedSparseIntervalMatrix>(
-          ShardedSparseIntervalMatrix::View(snapshot_, options_.shard_rows));
-    }
   }
   const SparseIntervalMatrix& snapshot = *snapshot_;
   stats_.snapshot_seconds = phase.Seconds();
@@ -174,9 +162,7 @@ const IsvdResult& StreamingIsvd::Refresh() {
   phase.Restart();
   {
     obs::TraceSpan decompose_span("streaming.decompose");
-    result_ = sharded_snapshot_
-                  ? RunIsvd(strategy_, *sharded_snapshot_, rank_, isvd_options)
-                  : RunIsvd(strategy_, snapshot, rank_, isvd_options);
+    result_ = RunIsvd(strategy_, snapshot, rank_, isvd_options);
   }
   stats_.decompose_seconds = phase.Seconds();
   instruments.decompose_seconds.Record(stats_.decompose_seconds);

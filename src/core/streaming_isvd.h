@@ -10,7 +10,10 @@
 // with one linear merge and warm-starts the Krylov solvers from the
 // previous step's Ritz vectors with a convergence-based early exit, so a
 // small batch of arrivals costs a handful of O(nnz) operator applications
-// instead of a full cold decomposition.
+// instead of a full cold decomposition. Every refresh decomposes through
+// the same forward as the batch RunIsvd: a zero-copy block-row view of the
+// frozen snapshot (core/sparse_isvd.h), so no refresh builds a transpose
+// unless the resolved Gram side is kMMt.
 //
 // The incremental path is a heuristic accelerator, never a semantic change:
 // when the accumulated changes are too large for the previous subspace to
@@ -71,12 +74,6 @@ struct StreamingIsvdOptions {
   // Master switch: false forces every refresh cold (useful for A/B
   // measurement; the bench uses it as the recompute baseline).
   bool warm_start = true;
-  // When > 0, every refresh decomposes through a block-row sharded view
-  // (ShardedSparseIntervalMatrix::View over the frozen snapshot — zero-copy,
-  // the partition and shard-parallel dispatch without duplicating the CSR
-  // store) and sharded_snapshot() exposes that view for the serving layer.
-  // The sharded route always resolves GramSide::kMtM; see sparse_isvd.h.
-  size_t shard_rows = 0;
 
   StreamingIsvdOptions() {
     isvd.eig_solver = EigSolver::kLanczos;
@@ -129,15 +126,6 @@ class StreamingIsvd {
     return snapshot_;
   }
 
-  // The sharded view the last Refresh() decomposed when options.shard_rows
-  // is set (null otherwise). Shares the CSR arrays of matrix_snapshot(), so
-  // the triple (matrix_snapshot(), sharded_snapshot(), result()) is always
-  // consistent; same thread-safety contract as matrix_snapshot().
-  const std::shared_ptr<const ShardedSparseIntervalMatrix>& sharded_snapshot()
-      const {
-    return sharded_snapshot_;
-  }
-
   // Refreshes completed so far (>= 1: construction runs the first one).
   // The serving layer stamps this as the published epoch.
   uint64_t refresh_count() const { return refresh_count_; }
@@ -152,7 +140,6 @@ class StreamingIsvd {
   DynamicSparseIntervalMatrix matrix_;
   IsvdResult result_;
   std::shared_ptr<const SparseIntervalMatrix> snapshot_;
-  std::shared_ptr<const ShardedSparseIntervalMatrix> sharded_snapshot_;
   uint64_t refresh_count_ = 0;
   StreamingRefreshStats stats_;
   // Previous refresh's Ritz bases for the lower / upper endpoint solves.

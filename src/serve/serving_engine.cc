@@ -1,5 +1,6 @@
 #include "serve/serving_engine.h"
 
+#include <cmath>
 #include <utility>
 
 #include "base/check.h"
@@ -30,12 +31,26 @@ struct EngineInstruments {
   }
 };
 
+// Why a submitted cell cannot enter a rows x cols matrix, or nullptr when
+// it can. The reasons label serving.submit.rejected.
+const char* RejectReason(const IntervalTriplet& cell, size_t rows,
+                         size_t cols) {
+  if (cell.row >= rows || cell.col >= cols) return "shape";
+  if (!std::isfinite(cell.value.lo) || !std::isfinite(cell.value.hi)) {
+    return "non_finite";
+  }
+  if (cell.value.lo > cell.value.hi) return "improper";
+  return nullptr;
+}
+
 }  // namespace
 
 ServingEngine::ServingEngine(int strategy, size_t rank,
                              SparseIntervalMatrix base,
                              ServingEngineOptions options)
     : options_(std::move(options)),
+      rows_(base.rows()),
+      cols_(base.cols()),
       streaming_(strategy, rank, std::move(base), options_.streaming) {
   PublishCurrent();  // epoch 1: the construction-time cold decomposition
 }
@@ -47,7 +62,7 @@ ServingEngine::~ServingEngine() {
 void ServingEngine::PublishCurrent() {
   auto snapshot = std::make_shared<const ServingSnapshot>(
       streaming_.refresh_count(), streaming_.result(),
-      streaming_.matrix_snapshot(), streaming_.sharded_snapshot());
+      streaming_.matrix_snapshot());
   registry_.Publish(snapshot);
   epoch_.store(snapshot->epoch(), std::memory_order_release);
   EngineInstruments::Get().epochs.Add(1);
@@ -56,8 +71,25 @@ void ServingEngine::PublishCurrent() {
   if (options_.on_publish) options_.on_publish(snapshot);
 }
 
-void ServingEngine::Submit(std::vector<IntervalTriplet> batch) {
-  if (batch.empty()) return;
+bool ServingEngine::Submit(std::vector<IntervalTriplet> batch) {
+  for (size_t k = 0; k < batch.size(); ++k) {
+    const IntervalTriplet& cell = batch[k];
+    const char* reason = RejectReason(cell, rows_, cols_);
+    if (reason == nullptr) continue;
+    obs::MetricsRegistry::Global()
+        .GetCounter("serving.submit.rejected", {{"reason", reason}})
+        .Add(1);
+    obs::LogWarn("serve", "submitted batch rejected",
+                 {{"reason", reason},
+                  {"index", k},
+                  {"batch_cells", batch.size()},
+                  {"row", cell.row},
+                  {"col", cell.col},
+                  {"lo", cell.value.lo},
+                  {"hi", cell.value.hi}});
+    return false;
+  }
+  if (batch.empty()) return true;
   size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -67,6 +99,7 @@ void ServingEngine::Submit(std::vector<IntervalTriplet> batch) {
   }
   EngineInstruments::Get().queue_cells.Set(static_cast<double>(depth));
   cv_.notify_one();
+  return true;
 }
 
 size_t ServingEngine::pending_cells() const {

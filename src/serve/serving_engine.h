@@ -73,7 +73,13 @@ class ServingEngine {
 
   // Enqueues arriving / revised cells (last-write-wins per cell, applied in
   // submission order). Wakes the background writer when one is running.
-  void Submit(std::vector<IntervalTriplet> batch);
+  // Every cell is checked first, on the caller's thread, by the triplet
+  // reader's rules: inside the matrix shape, finite endpoints, lo <= hi.
+  // One bad cell rejects the whole batch: nothing is enqueued, the served
+  // epoch stays as it is, and Submit returns false. Each rejected batch
+  // counts once in serving.submit.rejected{reason=shape|non_finite|
+  // improper}, and a warning log names its first bad cell.
+  bool Submit(std::vector<IntervalTriplet> batch);
 
   // Cells submitted but not yet applied by a refresh.
   size_t pending_cells() const;
@@ -103,6 +109,11 @@ class ServingEngine {
   std::vector<std::vector<IntervalTriplet>> Drain();
 
   ServingEngineOptions options_;
+  // The matrix shape, fixed for the engine's life (streaming revises cells;
+  // it does not grow the universe). Submit checks cells against these
+  // copies and never reads the writer-owned matrix.
+  const size_t rows_;
+  const size_t cols_;
   StreamingIsvd streaming_;  // writer-thread-only after construction
   SnapshotRegistry registry_;
 

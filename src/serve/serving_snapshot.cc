@@ -179,12 +179,8 @@ std::vector<Ranked> SelectTop(size_t items, const size_t* rated,
 
 ServingSnapshot::ServingSnapshot(
     uint64_t epoch, IsvdResult result,
-    std::shared_ptr<const SparseIntervalMatrix> matrix,
-    std::shared_ptr<const ShardedSparseIntervalMatrix> sharded)
-    : epoch_(epoch),
-      result_(std::move(result)),
-      matrix_(std::move(matrix)),
-      sharded_(std::move(sharded)) {
+    std::shared_ptr<const SparseIntervalMatrix> matrix)
+    : epoch_(epoch), result_(std::move(result)), matrix_(std::move(matrix)) {
   IVMF_CHECK_MSG(matrix_ != nullptr,
                  "ServingSnapshot needs the frozen matrix view");
   IVMF_CHECK_MSG(result_.u.rows() == matrix_->rows() &&
@@ -193,10 +189,6 @@ ServingSnapshot::ServingSnapshot(
   IVMF_CHECK_MSG(result_.u.cols() == result_.rank() &&
                      result_.v.cols() == result_.rank(),
                  "factor ranks do not match sigma");
-  IVMF_CHECK_MSG(sharded_ == nullptr ||
-                     (sharded_->rows() == matrix_->rows() &&
-                      sharded_->cols() == matrix_->cols()),
-                 "sharded view shape does not match the matrix view");
   v_lo_kmajor_ = KMajor(result_.v.lower());
   if (result_.target == DecompositionTarget::kA) {
     v_hi_kmajor_ = KMajor(result_.v.upper());

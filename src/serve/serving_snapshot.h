@@ -4,7 +4,9 @@
 // A ServingSnapshot pairs the factors of one StreamingIsvd refresh with the
 // frozen CSR matrix that refresh decomposed (StreamingIsvd::matrix_snapshot,
 // handed off as a shared view by DynamicSparseIntervalMatrix), stamped with
-// the refresh's epoch. Everything inside is deep-immutable after
+// the refresh's epoch. (The refresh decomposed through a zero-copy
+// block-row view of those same arrays, held only for the call, so the CSR
+// matrix is all a snapshot keeps.) Everything inside is deep-immutable after
 // construction, so any number of reader threads may call Predict / TopK /
 // Observed concurrently with no synchronization while the writer builds and
 // publishes the next epoch; a reader that still holds an old snapshot keeps
@@ -33,7 +35,6 @@
 #include <vector>
 
 #include "core/isvd.h"
-#include "sparse/block_matrix.h"
 #include "sparse/sparse_interval_matrix.h"
 
 namespace ivmf {
@@ -50,13 +51,8 @@ class ServingSnapshot {
   // `matrix` must be non-null and its shape must cover the factor rows
   // (users x items); u, v and sigma must agree on the rank; `result` must
   // be the decomposition of `*matrix`.
-  // `sharded` optionally carries the block-row sharded view the refresh
-  // decomposed through (StreamingIsvdOptions::shard_rows > 0); it shares
-  // the same CSR arrays as `matrix` and must match its shape when present.
-  ServingSnapshot(
-      uint64_t epoch, IsvdResult result,
-      std::shared_ptr<const SparseIntervalMatrix> matrix,
-      std::shared_ptr<const ShardedSparseIntervalMatrix> sharded = nullptr);
+  ServingSnapshot(uint64_t epoch, IsvdResult result,
+                  std::shared_ptr<const SparseIntervalMatrix> matrix);
 
   uint64_t epoch() const { return epoch_; }
   size_t users() const { return matrix_->rows(); }
@@ -67,16 +63,6 @@ class ServingSnapshot {
   const std::shared_ptr<const SparseIntervalMatrix>& shared_matrix() const {
     return matrix_;
   }
-
-  // The frozen sharded view of this epoch, when the streaming core
-  // decomposed through one (null otherwise). Deep-immutable like everything
-  // else in the snapshot; introspection and batch scoring paths can run its
-  // shard-parallel kernels against exactly the published matrix.
-  const std::shared_ptr<const ShardedSparseIntervalMatrix>& shared_sharded()
-      const {
-    return sharded_;
-  }
-  bool has_sharded() const { return sharded_ != nullptr; }
 
   // Predicted interval [lo, hi] for one (user, item) cell: the entry of the
   // reconstruction M̃† = U† Σ† V†ᵀ under the result's target rule. Equal to
@@ -106,7 +92,6 @@ class ServingSnapshot {
   uint64_t epoch_;
   IsvdResult result_;
   std::shared_ptr<const SparseIntervalMatrix> matrix_;
-  std::shared_ptr<const ShardedSparseIntervalMatrix> sharded_;
   // V transposed to rank x items, each row zero-padded to whole TopK
   // blocks: the lower (for targets b and c, the scalar) endpoint, and the
   // upper endpoint for target a only.

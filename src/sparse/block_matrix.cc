@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "base/check.h"
@@ -15,7 +16,7 @@ namespace ivmf {
 
 namespace {
 
-// Per-kernel counters for the sharded dispatch, tagged like the monolithic
+// Per-kernel counters for the sharded dispatch, tagged like the CSR
 // sparse.matvec family but with the shard-task count alongside rows/nnz —
 // the per-shard matvec accounting the observability layer scrapes.
 struct ShardedKernelCounters {
@@ -137,7 +138,7 @@ void ShardedSparseIntervalMatrix::ResolveBackend(spk::Backend request) {
     if (env != spk::Backend::kAuto) {
       request = env;
     } else if (rows_ > 0 && nnz_ > 0) {
-      // The same row-length statistics pass as the monolithic
+      // The same row-length statistics pass as the CSR
       // ResolvedKernel, run over the shard-local offset arrays.
       const double mean =
           static_cast<double>(nnz_) / static_cast<double>(rows_);
@@ -277,6 +278,11 @@ ShardedSparseIntervalMatrix ShardedSparseIntervalMatrix::FromTriplets(
                                                     std::move(triplets),
                                                     duplicates),
                  shard_rows, policy);
+}
+
+size_t ShardedSparseIntervalMatrix::ViewShardRows(size_t rows) {
+  const size_t threads = SuggestedThreads(std::numeric_limits<size_t>::max());
+  return std::max<size_t>(256, (rows + 4 * threads - 1) / (4 * threads));
 }
 
 ShardedSparseIntervalMatrix ShardedSparseIntervalMatrix::View(
@@ -685,7 +691,7 @@ void ShardedSparseIntervalMatrix::ReduceOverShards(
     size_t acc_len, ScatterFn&& scatter, std::vector<double>* out0,
     std::vector<double>* out1) const {
   const size_t num_shards = shards_.size();
-  // The same deterministic partition math as the monolithic reduction
+  // The same deterministic partition math as the CSR reduction
   // kernels (kMinRowsPerThread = 2048, column reduce at 4096), except that
   // work splits on shard boundaries: each group owns a contiguous shard
   // range and scatters it sequentially into private accumulators.
@@ -855,14 +861,15 @@ IntervalMatrix ShardedSparseIntervalMatrix::IntervalMultiplyDenseTranspose(
   return IntervalMatrix(std::move(lo), std::move(hi));
 }
 
-// -- Dense Gram statics (bit-identical to the monolithic accumulation) -------
+// -- Dense Gram statics (the serial row loop, shard by shard) -----------------
 
 Matrix ShardedSparseIntervalMatrix::DenseGram(
     const ShardedSparseIntervalMatrix& m, Endpoint e) {
   Matrix gram(m.cols_, m.cols_);
-  // Shards partition rows in ascending global order and each shard walks
-  // its rows ascending, so the accumulation order is exactly the monolithic
-  // SparseGramOperator::DenseGram loop — results are bit-identical.
+  // C += rowᵀ row for every sparse row: each row contributes the outer
+  // product of its nonzeros. Only the upper triangle is accumulated, then
+  // mirrored. Shards partition rows in ascending global order and each
+  // walks its rows ascending, so the addition order is the serial loop's.
   for (size_t s = 0; s < m.shards_.size(); ++s) {
     const SegRef seg = m.Seg(s);
     const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
@@ -890,8 +897,10 @@ IntervalMatrix ShardedSparseIntervalMatrix::DenseGramEndpoints(
   Matrix g_ll(dim, dim);
   Matrix g_hh(dim, dim);
   Matrix g_lh(dim, dim);
-  // Same shard-sequential ascending-row walk as DenseGram above: identical
-  // addition order to SparseGramOperator::DenseGramEndpoints.
+  // Accumulate the four products; G_lh(i, j) = Σ_k M_*(k, i) M^*(k, j) is
+  // the only asymmetric one (G_hl is its transpose), so three accumulators
+  // suffice. The shard-sequential ascending-row walk of DenseGram above
+  // matches the dense matmul's term order.
   for (size_t s = 0; s < m.shards_.size(); ++s) {
     const SegRef seg = m.Seg(s);
     const size_t* rp = seg.view.row_ptr;

@@ -1,24 +1,24 @@
-// Block-row sharded sparse interval matrices: the out-of-core store.
+// Block-row sharded sparse interval matrices: the store every sparse ISVD
+// runs on.
 //
 // A ShardedSparseIntervalMatrix splits the row range into fixed-size
 // shards, each an independent CSR segment with its own packed 32-bit
 // column-index sidecar (and a SELL pack when the row statistics pick that
-// backend). Every kernel of the monolithic SparseIntervalMatrix exists
-// here with identical semantics, executed shard-parallel on the shared
-// ThreadPool:
+// backend). Every kernel of the CSR SparseIntervalMatrix exists here with
+// identical semantics, executed shard-parallel on the shared ThreadPool:
 //
 //  - Forward kernels (Multiply / MultiplyMid / MultiplyBoth / MultiplyDense
 //    / IntervalMultiplyDense) write disjoint row ranges, one task per
 //    shard; each output entry is computed by the same per-row loop as the
-//    monolithic kernel, so forward results are bit-identical to the
-//    monolithic matrix under the same resolved backend.
+//    CSR kernel, so forward results are bit-identical to the CSR matrix
+//    under the same resolved backend.
 //  - Reduction kernels (MultiplyTranspose / GramMultiply / GramMultiplyBoth
 //    / IntervalMultiplyDenseTranspose) give each shard group a private
 //    cols-sized accumulator — the Gram apply is literally the block sum
 //    A†ᵀA† = Σ_s M_sᵀ M_s — and reduce the partials column-parallel in
-//    fixed group order, the same deterministic scheme the monolithic
-//    kernels use (equal to the serial result up to roundoff, bit-stable
-//    across calls on a fixed machine).
+//    fixed group order, the same deterministic scheme the CSR kernels use
+//    (equal to the serial result up to roundoff, bit-stable across calls
+//    on a fixed machine).
 //
 // Backing (BackingPolicy): shards own heap buffers (kMemory), or mmap
 // segment files written through shard_store.h (kMmap) — the out-of-core
@@ -27,15 +27,16 @@
 // pass, keeping peak RSS near one working set instead of the whole store.
 // kAuto picks per matrix by comparing the estimated store bytes against a
 // budget. A third, zero-copy mode (View) shards an existing in-memory
-// SparseIntervalMatrix by reference for serving snapshots — no data is
-// copied, only the row partition and the dispatch change.
+// SparseIntervalMatrix by reference: no data is copied, only the row
+// partition and the dispatch change. Every ISVD call and streaming refresh
+// on a SparseIntervalMatrix runs on such a view (core/sparse_isvd.h), with
+// ViewShardRows picking the partition.
 //
 // The ShardedGramOperator / ShardedEndpointMap adapters at the bottom
-// plug the sharded kernels into the unchanged Lanczos drivers: the sparse
-// ISVD strategies run out-of-core through exactly the solver code the
-// in-memory path uses. Note the Gram side is always MᵀM here (cols²
-// scratch): the alternative MMᵀ side would materialize a transposed
-// store, which is exactly what out-of-core operation cannot afford.
+// plug the sharded kernels into the unchanged Lanczos drivers. The Gram
+// side is always MᵀM here (cols² scratch) and transposed products run as
+// shard scatter reductions, so no store ever needs a transposed copy of
+// itself; the CSR entry points get the MMᵀ side by viewing a transpose.
 
 #ifndef IVMF_SPARSE_BLOCK_MATRIX_H_
 #define IVMF_SPARSE_BLOCK_MATRIX_H_
@@ -50,7 +51,6 @@
 #include "linalg/linear_operator.h"
 #include "sparse/shard_store.h"
 #include "sparse/sell_matrix.h"
-#include "sparse/sparse_gram_operator.h"
 #include "sparse/sparse_interval_matrix.h"
 
 namespace ivmf {
@@ -71,7 +71,7 @@ class ShardedSparseIntervalMatrix {
   ShardedSparseIntervalMatrix& operator=(const ShardedSparseIntervalMatrix&) =
       delete;
 
-  // Builds from triplets (same semantics as the monolithic FromTriplets,
+  // Builds from triplets (same semantics as the CSR FromTriplets,
   // including DuplicatePolicy), then segments into ceil(rows / shard_rows)
   // shards under `policy`.
   static ShardedSparseIntervalMatrix FromTriplets(
@@ -85,11 +85,17 @@ class ShardedSparseIntervalMatrix {
       BackingPolicy policy = BackingPolicy::Memory());
 
   // Zero-copy row partition over an in-memory matrix: shards reference the
-  // base's CSR arrays and packed sidecar directly. This is what serving
-  // snapshots freeze — the partition and shard-parallel dispatch without
-  // duplicating the store. The base is held alive by the shared_ptr.
+  // base's CSR arrays and packed sidecar directly — the partition and
+  // shard-parallel dispatch without duplicating the store. The base is held
+  // alive by the shared_ptr (a non-owning one makes a view for the length
+  // of a call).
   static ShardedSparseIntervalMatrix View(
       std::shared_ptr<const SparseIntervalMatrix> base, size_t shard_rows);
+
+  // The shard size the CSR ISVD entry points view a `rows`-row matrix
+  // with: about four shards per pool thread, so the shard tasks balance,
+  // and never under 256 rows, so a shard amortizes its dispatch.
+  static size_t ViewShardRows(size_t rows);
 
   // Re-opens a persisted mmap store directory (shard_0.ivsh, shard_1.ivsh,
   // ...) written by a previous process — the crash-consistency /
@@ -128,13 +134,13 @@ class ShardedSparseIntervalMatrix {
   // Entry lookup by shard + binary search within the row.
   Interval At(size_t i, size_t j) const;
 
-  // Materializes a monolithic CSR copy (tests, small matrices).
+  // Materializes a CSR copy (tests, small matrices).
   SparseIntervalMatrix ToCsr() const;
 
   bool IsProper() const;
   bool IsNonNegative(double tol = 0.0) const;
 
-  // -- Kernels (monolithic semantics, shard-parallel execution) --------------
+  // -- Kernels (CSR semantics, shard-parallel execution) ---------------------
   // Aliasing contract as in SparseIntervalMatrix: outputs must not alias
   // inputs or each other.
 
@@ -176,15 +182,17 @@ class ShardedSparseIntervalMatrix {
   IntervalMatrix IntervalMultiplyDense(const Matrix& b) const;
 
   // C† = A†ᵀ B for dense B (rows() x k): the transposed interval product
-  // (what the monolithic path computes as Transpose().IntervalMultiplyDense)
-  // via per-group scatter partials — again with no materialized transpose.
+  // (Transpose().IntervalMultiplyDense(b)) via per-group scatter partials —
+  // again with no materialized transpose.
   IntervalMatrix IntervalMultiplyDenseTranspose(const Matrix& b) const;
 
-  // The dense Gram / Algorithm-1 interval Gram endpoints, accumulated
-  // shard-sequentially in ascending row order — the identical addition
-  // order as the monolithic SparseGramOperator statics, so results are
-  // bit-identical. (The signed route stays dense by design; see ROADMAP
-  // "operator-form signed Gram".)
+  // The dense endpoint Gram M_eᵀ M_e (non-negative input's Jacobi route),
+  // and the Algorithm-1 interval Gram endpoints of an arbitrary-signed
+  // matrix: lower/upper are the elementwise min/max over the four products
+  // M_αᵀ M_β, which have no fixed operator form, accumulated from the
+  // sparse rows (min(n, m)² memory, never densifying M†). Both walk the
+  // shards sequentially in ascending row order — the serial row loop — so
+  // results are bit-identical for every shard size and backing.
   static Matrix DenseGram(const ShardedSparseIntervalMatrix& m, Endpoint e);
   static IntervalMatrix DenseGramEndpoints(
       const ShardedSparseIntervalMatrix& m);
@@ -280,8 +288,11 @@ class ShardedSparseIntervalMatrix::Builder {
 };
 
 // The symmetric operator x -> M_eᵀ (M_e x) over a sharded store — the
-// LinearOperator ComputeLanczosEig consumes, making ISVD2-4 out-of-core
-// without touching the solver. Gram side is MᵀM by construction.
+// LinearOperator ComputeLanczosEig consumes for ISVD2-4. It is an
+// Algorithm-1 Gram endpoint only for entrywise non-negative input, where
+// the four endpoint products are monotone in the entries and the min/max
+// collapse to M_*ᵀM_* and M^*ᵀM^*; signed input uses DenseGramEndpoints.
+// Gram side is MᵀM by construction.
 class ShardedGramOperator final : public LinearOperator {
  public:
   ShardedGramOperator(const ShardedSparseIntervalMatrix& m,
@@ -305,7 +316,7 @@ class ShardedGramOperator final : public LinearOperator {
 // ApplyTranspose runs the scatter reduction (no transposed store exists).
 class ShardedEndpointMap final : public LinearMap {
  public:
-  using Part = SparseEndpointMap::Part;
+  enum class Part { kLower, kUpper, kMid };
 
   ShardedEndpointMap(const ShardedSparseIntervalMatrix& m, Part part)
       : m_(m), part_(part) {}

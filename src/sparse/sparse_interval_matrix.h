@@ -165,14 +165,13 @@ class SparseIntervalMatrix {
 
   // y_lo = A_* x and y_hi = A^* x fused over the shared pattern in one
   // pass (one gather feeds both endpoint accumulators); y_lo/y_hi resized
-  // to rows(). The fused endpoint path under SparseGramOperator::ApplyBoth
-  // and IntervalMultiplyDense.
+  // to rows(). The fused endpoint path under IntervalMultiplyDense.
   void MultiplyBoth(const std::vector<double>& x, std::vector<double>& y_lo,
                     std::vector<double>& y_hi) const;
 
-  // y_lo = A_* x_lo and y_hi = A^* x_hi in one pattern pass — the second
-  // Gram stage of ApplyBoth, where each endpoint chain carries its own
-  // vector. Outputs resized to rows().
+  // y_lo = A_* x_lo and y_hi = A^* x_hi in one pattern pass — on a
+  // transpose, the second stage of a two-pass both-endpoint Gram, where
+  // each endpoint chain carries its own vector. Outputs resized to rows().
   void MultiplyPair(const std::vector<double>& x_lo,
                     const std::vector<double>& x_hi,
                     std::vector<double>& y_lo,
@@ -207,15 +206,13 @@ class SparseIntervalMatrix {
   // Multiply + MultiplyTranspose composition. Same value as that
   // composition up to roundoff (summation into y is grouped by row, and
   // per-thread partials reduce like MultiplyTranspose); bit-stable across
-  // calls. SparseGramOperator::Apply routes through here when the AVX2
-  // backend is resolved.
+  // calls.
   void GramMultiply(Endpoint e, const std::vector<double>& x,
                     std::vector<double>& y) const;
 
   // y_lo = A_*ᵀ(A_* x) and y_hi = A^*ᵀ(A^* x) fused over the shared
   // pattern in one pass — the one-pass form of MultiplyBoth + MultiplyPair.
-  // Outputs resized to cols(). Backs SparseGramOperator::ApplyBoth on the
-  // AVX2 backend.
+  // Outputs resized to cols().
   void GramMultiplyBoth(const std::vector<double>& x,
                         std::vector<double>& y_lo,
                         std::vector<double>& y_hi) const;

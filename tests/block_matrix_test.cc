@@ -23,7 +23,6 @@
 #include "linalg/matrix.h"
 #include "sparse/block_matrix.h"
 #include "sparse/shard_store.h"
-#include "sparse/sparse_gram_operator.h"
 #include "sparse/sparse_interval_matrix.h"
 
 namespace ivmf {
@@ -284,31 +283,40 @@ TEST(BlockMatrixConstructionTest, ViewSharesTheBaseStore) {
   ExpectKernelsMatchMonolithic(mono, view, "View");
 }
 
-// The doc promises the dense-Gram statics accumulate shard-sequentially in
-// the identical addition order as the monolithic SparseGramOperator
-// statics — bit-identical, not merely close.
+// The doc promises the dense-Gram statics walk the shards in ascending
+// row order — the serial row loop — so every partition gives the same
+// bits. A one-shard view of the matrix is that serial loop; the signed
+// case is the four-product accumulation the sparse ISVD2-4 run.
 TEST(BlockMatrixGramTest, DenseGramStaticsAreBitIdentical) {
   for (const bool signed_values : {false, true}) {
-    const SparseIntervalMatrix mono = SparseIntervalMatrix::FromTriplets(
-        37, 14, MakeTriplets(37, 14, 0.25, signed_values, 84));
-    const ShardedSparseIntervalMatrix sharded =
-        ShardedSparseIntervalMatrix::FromCsr(mono, 8);
+    const auto mono =
+        std::make_shared<const SparseIntervalMatrix>(
+            SparseIntervalMatrix::FromTriplets(
+                37, 14, MakeTriplets(37, 14, 0.25, signed_values, 84)));
+    const ShardedSparseIntervalMatrix serial =
+        ShardedSparseIntervalMatrix::View(mono, 37);
+    ASSERT_EQ(serial.num_shards(), 1u);
 
-    for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
-      const Matrix want = SparseGramOperator::DenseGram(mono, e);
-      const Matrix got = ShardedSparseIntervalMatrix::DenseGram(sharded, e);
-      ASSERT_EQ(got.rows(), want.rows());
-      for (size_t i = 0; i < want.rows(); ++i)
-        for (size_t j = 0; j < want.cols(); ++j)
-          EXPECT_EQ(got(i, j), want(i, j)) << "(" << i << ", " << j << ")";
-    }
-    const IntervalMatrix want = SparseGramOperator::DenseGramEndpoints(mono);
-    const IntervalMatrix got =
-        ShardedSparseIntervalMatrix::DenseGramEndpoints(sharded);
-    for (size_t i = 0; i < want.rows(); ++i) {
-      for (size_t j = 0; j < want.cols(); ++j) {
-        EXPECT_EQ(got.At(i, j).lo, want.At(i, j).lo);
-        EXPECT_EQ(got.At(i, j).hi, want.At(i, j).hi);
+    for (const size_t shard_rows : {1u, 8u}) {
+      const ShardedSparseIntervalMatrix sharded =
+          ShardedSparseIntervalMatrix::FromCsr(*mono, shard_rows);
+      for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
+        const Matrix want = ShardedSparseIntervalMatrix::DenseGram(serial, e);
+        const Matrix got = ShardedSparseIntervalMatrix::DenseGram(sharded, e);
+        ASSERT_EQ(got.rows(), want.rows());
+        for (size_t i = 0; i < want.rows(); ++i)
+          for (size_t j = 0; j < want.cols(); ++j)
+            EXPECT_EQ(got(i, j), want(i, j)) << "(" << i << ", " << j << ")";
+      }
+      const IntervalMatrix want =
+          ShardedSparseIntervalMatrix::DenseGramEndpoints(serial);
+      const IntervalMatrix got =
+          ShardedSparseIntervalMatrix::DenseGramEndpoints(sharded);
+      for (size_t i = 0; i < want.rows(); ++i) {
+        for (size_t j = 0; j < want.cols(); ++j) {
+          EXPECT_EQ(got.At(i, j).lo, want.At(i, j).lo);
+          EXPECT_EQ(got.At(i, j).hi, want.At(i, j).hi);
+        }
       }
     }
   }

@@ -7,11 +7,12 @@
 #include "linalg/lanczos_svd.h"
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 #include "base/rng.h"
 #include "linalg/svd.h"
-#include "sparse/sparse_gram_operator.h"
+#include "sparse/block_matrix.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "test_util.h"
 
@@ -117,9 +118,10 @@ TEST(LanczosSvdTest, DuplicateSingularValuesReconstructExactly) {
   EXPECT_LT(MaxAbsDiff(gkl.Reconstruct(), block), 1e-8);
 }
 
-TEST(LanczosSvdTest, SparseEndpointMapMatchesDenseOperator) {
-  // The three Parts of SparseEndpointMap act exactly like the materialized
-  // endpoint / midpoint matrices.
+TEST(LanczosSvdTest, ShardedEndpointMapMatchesDenseOperator) {
+  // The three Parts of ShardedEndpointMap — what the sparse ISVD0/ISVD1
+  // decompose, over a zero-copy view of the CSR matrix — act exactly like
+  // the materialized endpoint / midpoint matrices.
   Rng rng(16);
   IntervalMatrix dense(9, 13);
   for (size_t i = 0; i < 9; ++i) {
@@ -129,23 +131,25 @@ TEST(LanczosSvdTest, SparseEndpointMapMatchesDenseOperator) {
       dense.Set(i, j, Interval(base, base + rng.Uniform(0.0, 0.5)));
     }
   }
-  const SparseIntervalMatrix sparse = SparseIntervalMatrix::FromDense(dense);
-  const SparseIntervalMatrix sparse_t = sparse.Transpose();
+  const ShardedSparseIntervalMatrix view = ShardedSparseIntervalMatrix::View(
+      std::make_shared<const SparseIntervalMatrix>(
+          SparseIntervalMatrix::FromDense(dense)),
+      4);
 
   const Matrix mid = dense.Mid();
   const struct {
-    SparseEndpointMap::Part part;
+    ShardedEndpointMap::Part part;
     const Matrix& reference;
   } cases[] = {
-      {SparseEndpointMap::Part::kLower, dense.lower()},
-      {SparseEndpointMap::Part::kUpper, dense.upper()},
-      {SparseEndpointMap::Part::kMid, mid},
+      {ShardedEndpointMap::Part::kLower, dense.lower()},
+      {ShardedEndpointMap::Part::kUpper, dense.upper()},
+      {ShardedEndpointMap::Part::kMid, mid},
   };
   std::vector<double> x(13), xt(9), y, y_ref;
   for (double& v : x) v = rng.Uniform(-1.0, 1.0);
   for (double& v : xt) v = rng.Uniform(-1.0, 1.0);
   for (const auto& c : cases) {
-    const SparseEndpointMap map(sparse, sparse_t, c.part);
+    const ShardedEndpointMap map(view, c.part);
     const DenseLinearMap ref(c.reference);
     map.Apply(x, y);
     ref.Apply(x, y_ref);

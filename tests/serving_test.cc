@@ -2,18 +2,22 @@
 // Reconstruct for every strategy x target, TopK must match a brute-force
 // ranking, the registry must hand out the latest epoch, the engine's
 // drain/refresh/publish step must produce snapshots consistent with a
-// from-scratch decomposition of the published matrix, and the sparse
+// from-scratch decomposition of the published matrix, a malformed Submit
+// must be rejected without touching the served epoch, and the sparse
 // frozen-view handoff must cache until the next mutation.
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "base/rng.h"
 #include "core/sparse_isvd.h"
+#include "obs/metrics.h"
 #include "serve/serving_engine.h"
 #include "serve/snapshot_registry.h"
 #include "serve/serving_snapshot.h"
@@ -421,35 +425,55 @@ TEST(ServingEngineTest, StepPublishesConsistentSnapshot) {
   }
 }
 
-// With shard_rows set, every published snapshot carries the frozen
-// block-row sharded view of its matrix — shape-checked against the matrix
-// view and cell-consistent with Observed across epochs.
-TEST(ServingEngineTest, ShardedViewRidesThePublishedSnapshot) {
-  Rng rng(23);
-  const size_t n = 30, m = 20;
-  CellMap cells = RandomBaseCells(n, m, 3, 0.4, rng);
-  ServingEngineOptions options;
-  options.streaming.shard_rows = 8;
+// A malformed Submit must never reach the writer: the whole batch is
+// rejected on the caller's thread, the served epoch stays as it was, the
+// rejection is counted by reason, and the next good batch still applies.
+class ServingSubmitRejectTest
+    : public ::testing::TestWithParam<
+          std::pair<const char*, IntervalTriplet>> {};
+
+TEST_P(ServingSubmitRejectTest, BadCellRejectsBatchAndKeepsEpoch) {
+  const char* reason = GetParam().first;
+  const IntervalTriplet bad = GetParam().second;
+  Rng rng(24);
+  const size_t n = 20, m = 12;
+  const CellMap cells = RandomBaseCells(n, m, 3, 0.4, rng);
   ServingEngine engine(
-      3, 3, SparseIntervalMatrix::FromTriplets(n, m, ToTriplets(cells)),
-      options);
+      2, 3, SparseIntervalMatrix::FromTriplets(n, m, ToTriplets(cells)));
+  const auto before = engine.Acquire();
+  const std::string counter =
+      std::string("serving.submit.rejected{reason=") + reason + "}";
+  const uint64_t rejected_before =
+      obs::MetricsRegistry::Global().Snapshot().CounterValue(counter);
 
-  auto snapshot = engine.Acquire();
-  ASSERT_NE(snapshot, nullptr);
-  ASSERT_TRUE(snapshot->has_sharded());
-  EXPECT_EQ(snapshot->shared_sharded()->rows(), n);
-  EXPECT_EQ(snapshot->shared_sharded()->cols(), m);
-  EXPECT_EQ(snapshot->shared_sharded()->num_shards(), 4u);
+  // The bad cell rides behind a good one: nothing of the batch applies.
+  EXPECT_FALSE(engine.Submit({{1, 1, Interval(4.0, 4.5)}, bad}));
+  EXPECT_EQ(engine.pending_cells(), 0u);
+  EXPECT_EQ(engine.Step(), 0u);
+  EXPECT_EQ(engine.epoch(), 1u);
+  EXPECT_EQ(engine.Acquire(), before);
+  EXPECT_EQ(obs::MetricsRegistry::Global().Snapshot().CounterValue(counter),
+            rejected_before + 1);
 
-  engine.Submit({{0, 0, Interval(2.0, 2.5)}});
+  EXPECT_TRUE(engine.Submit({{1, 1, Interval(4.0, 4.5)}}));
   EXPECT_EQ(engine.Step(), 1u);
-  snapshot = engine.Acquire();
-  ASSERT_TRUE(snapshot->has_sharded());
-  const Interval sharded_cell = snapshot->shared_sharded()->At(0, 0);
-  const Interval observed = snapshot->Observed(0, 0);
-  EXPECT_EQ(sharded_cell.lo, observed.lo);
-  EXPECT_EQ(sharded_cell.hi, observed.hi);
+  EXPECT_EQ(engine.epoch(), 2u);
+  EXPECT_EQ(engine.Acquire()->Observed(1, 1), Interval(4.0, 4.5));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Reasons, ServingSubmitRejectTest,
+    ::testing::Values(
+        std::make_pair("shape", IntervalTriplet{20, 0, Interval(1.0, 1.0)}),
+        std::make_pair("shape", IntervalTriplet{0, 12, Interval(1.0, 1.0)}),
+        std::make_pair("non_finite",
+                       IntervalTriplet{2, 3, Interval(std::nan(""), 1.0)}),
+        std::make_pair("non_finite",
+                       IntervalTriplet{2, 3, Interval(0.0, HUGE_VAL)}),
+        std::make_pair("non_finite",
+                       IntervalTriplet{2, 3, Interval(-HUGE_VAL, 0.0)}),
+        std::make_pair("improper",
+                       IntervalTriplet{2, 3, Interval(2.0, 1.0)})));
 
 TEST(ServingEngineTest, OnPublishSeesEveryEpochInOrder) {
   Rng rng(20);

@@ -1,11 +1,11 @@
-// The sharded decomposition route end to end: RunIsvd over a
-// ShardedSparseIntervalMatrix must agree with the monolithic sparse route
-// for every strategy 0-4 and both sign regimes — the sharded operators
-// feed the unchanged Lanczos drivers, so only the reduction grouping of
-// the Gram/transpose applies differs (roundoff, amplified through the
+// The block-row store end to end: RunIsvd over a matrix copied into
+// 32-row shards must agree with the CSR entry point — the same code on a
+// zero-copy view whose partition ViewShardRows picks — for every strategy
+// 0-4 and both sign regimes. Only the reduction grouping of the
+// Gram/transpose applies differs (roundoff, amplified through the
 // eigensolve; the suite compares at the established sparse-vs-dense
-// agreement bound). The monolithic reference pins GramSide::kMtM because
-// the sharded route has no MMᵀ side (no transposed store exists).
+// agreement bound). The CSR reference pins GramSide::kMtM because the
+// store overloads have no MMᵀ side (no transposed store exists).
 // A second pass runs the mmap-backed store through the same harness — the
 // out-of-core decompose path must be numerically indistinguishable from
 // the in-memory one.
@@ -71,7 +71,7 @@ TEST_P(ShardedIsvdAgreement, ShardedStrategyMatchesMonolithic) {
   IsvdOptions options;
   options.target = DecompositionTarget::kB;
   options.eig_solver = EigSolver::kLanczos;
-  // The sharded route is always MᵀM; pin the reference to the same side.
+  // The store overloads are always MᵀM; pin the reference to the same side.
   options.gram_side = GramSide::kMtM;
 
   const IsvdResult reference = RunIsvd(strategy, mono, rank, options);

@@ -1,6 +1,7 @@
 #include "sparse/sparse_interval_matrix.h"
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,7 +9,7 @@
 #include "data/ratings.h"
 #include "interval/interval_matrix.h"
 #include "io/triplets.h"
-#include "sparse/sparse_gram_operator.h"
+#include "sparse/block_matrix.h"
 #include "test_util.h"
 
 namespace ivmf {
@@ -250,10 +251,18 @@ TEST(SparseIntervalMatrixTest, RowAndColNormsMatchDense) {
   }
 }
 
-TEST(SparseGramOperatorTest, ApplyMatchesDenseGram) {
+// The Gram operator and dense-Gram statics every sparse ISVD2-4 runs are
+// the block-row store's, over a zero-copy view of the CSR matrix.
+ShardedSparseIntervalMatrix ViewOf(const SparseIntervalMatrix& m,
+                                   size_t shard_rows) {
+  return ShardedSparseIntervalMatrix::View(
+      std::make_shared<const SparseIntervalMatrix>(m), shard_rows);
+}
+
+TEST(SparseViewGramTest, ApplyMatchesDenseGram) {
   Rng rng(18);
   const SparseIntervalMatrix m = RandomSparse(25, 16, 0.3, rng);
-  const SparseIntervalMatrix mt = m.Transpose();
+  const ShardedSparseIntervalMatrix view = ViewOf(m, 7);
   const IntervalMatrix dense = m.ToDense();
   std::vector<double> x(16);
   for (double& v : x) v = rng.Uniform(-1.0, 1.0);
@@ -261,7 +270,7 @@ TEST(SparseGramOperatorTest, ApplyMatchesDenseGram) {
   for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
     const Matrix& d = e == Endpoint::kLower ? dense.lower() : dense.upper();
     const Matrix gram = d.Transpose() * d;
-    const SparseGramOperator op(m, mt, e);
+    const ShardedGramOperator op(view, e);
     EXPECT_EQ(op.Dim(), 16u);
     std::vector<double> y;
     op.Apply(x, y);
@@ -274,18 +283,17 @@ TEST(SparseGramOperatorTest, ApplyMatchesDenseGram) {
   }
 }
 
-TEST(SparseGramOperatorTest, DenseGramMatchesDenseProduct) {
+TEST(SparseViewGramTest, DenseGramMatchesDenseProduct) {
   Rng rng(19);
   const SparseIntervalMatrix m = RandomSparse(30, 12, 0.3, rng);
   const Matrix expect =
       m.ToDense().upper().Transpose() * m.ToDense().upper();
-  const Matrix got = SparseGramOperator::DenseGram(m, Endpoint::kUpper);
+  const Matrix got =
+      ShardedSparseIntervalMatrix::DenseGram(ViewOf(m, 7), Endpoint::kUpper);
   EXPECT_LT(MaxAbsDiff(got, expect), 1e-12);
 }
 
-// -- Triplet I/O -------------------------------------------------------------
-
-TEST(SparseGramOperatorTest, DenseGramEndpointsMatchAlgorithm1OnSignedData) {
+TEST(SparseViewGramTest, DenseGramEndpointsMatchAlgorithm1OnSignedData) {
   // Signed entries: the four-product endpoints must equal the dense
   // IntervalMatMul(M†ᵀ, M†) construction term for term.
   Rng rng(93);
@@ -303,23 +311,28 @@ TEST(SparseGramOperatorTest, DenseGramEndpointsMatchAlgorithm1OnSignedData) {
 
   const IntervalMatrix dense = m.ToDense();
   const IntervalMatrix expected = IntervalMatMul(dense.Transpose(), dense);
-  const IntervalMatrix endpoints = SparseGramOperator::DenseGramEndpoints(m);
+  const IntervalMatrix endpoints =
+      ShardedSparseIntervalMatrix::DenseGramEndpoints(ViewOf(m, 7));
   EXPECT_LT(MaxAbsDiff(endpoints.lower(), expected.lower()), 1e-13);
   EXPECT_LT(MaxAbsDiff(endpoints.upper(), expected.upper()), 1e-13);
 }
 
-TEST(SparseGramOperatorTest, DenseGramEndpointsCollapseOnNonNegativeData) {
+TEST(SparseViewGramTest, DenseGramEndpointsCollapseOnNonNegativeData) {
   Rng rng(94);
   const SparseIntervalMatrix m = RandomSparse(25, 10, 0.4, rng);
   ASSERT_TRUE(m.IsNonNegative());
-  const IntervalMatrix endpoints = SparseGramOperator::DenseGramEndpoints(m);
-  EXPECT_LT(MaxAbsDiff(endpoints.lower(),
-                       SparseGramOperator::DenseGram(m, Endpoint::kLower)),
-            1e-13);
-  EXPECT_LT(MaxAbsDiff(endpoints.upper(),
-                       SparseGramOperator::DenseGram(m, Endpoint::kUpper)),
-            1e-13);
+  const ShardedSparseIntervalMatrix view = ViewOf(m, 7);
+  const IntervalMatrix endpoints =
+      ShardedSparseIntervalMatrix::DenseGramEndpoints(view);
+  const Matrix lower =
+      ShardedSparseIntervalMatrix::DenseGram(view, Endpoint::kLower);
+  const Matrix upper =
+      ShardedSparseIntervalMatrix::DenseGram(view, Endpoint::kUpper);
+  EXPECT_LT(MaxAbsDiff(endpoints.lower(), lower), 1e-13);
+  EXPECT_LT(MaxAbsDiff(endpoints.upper(), upper), 1e-13);
 }
+
+// -- Triplet I/O -------------------------------------------------------------
 
 TEST(TripletIoTest, StringRoundTrip) {
   Rng rng(20);

@@ -114,6 +114,38 @@ TEST_P(SparseDenseAgreement, SparseStrategyMatchesDenseSibling) {
   ExpectResultsAgree(from_dense, from_sparse, 1e-8);
 }
 
+// The same agreement on a wide input with GramSide::kAuto on both sides:
+// both resolve to kMMt, so the sparse ISVD2-4 run on a view of the
+// transpose and swap their factors back, and ISVD3/4 solve V from U.
+TEST_P(SparseDenseAgreement, WideSparseStrategyMatchesDenseSibling) {
+  const int strategy = ::testing::get<0>(GetParam());
+  const DecompositionTarget target =
+      static_cast<DecompositionTarget>(::testing::get<1>(GetParam()));
+  const bool signed_entries = ::testing::get<2>(GetParam());
+
+  Rng rng(3000 + 100 * static_cast<int>(signed_entries) + 10 * strategy +
+          static_cast<int>(target));
+  const size_t n = 25, m = 40, k = 4;
+  const IntervalMatrix dense =
+      signed_entries ? RandomSignedLowRankIntervalMatrix(n, m, k, rng)
+                     : RandomLowRankIntervalMatrix(n, m, k, rng);
+  const SparseIntervalMatrix sparse = SparseIntervalMatrix::FromDense(dense);
+  ASSERT_EQ(sparse.IsNonNegative(), !signed_entries);
+  ASSERT_EQ(ResolveGramSide(sparse, GramSide::kAuto), GramSide::kMMt);
+
+  IsvdOptions dense_options;
+  dense_options.target = target;
+  dense_options.eig_solver = EigSolver::kJacobi;
+  dense_options.gram_side = GramSide::kAuto;
+
+  IsvdOptions sparse_options = dense_options;
+  sparse_options.eig_solver = EigSolver::kLanczos;
+
+  const IsvdResult from_dense = RunIsvd(strategy, dense, k, dense_options);
+  const IsvdResult from_sparse = RunIsvd(strategy, sparse, k, sparse_options);
+  ExpectResultsAgree(from_dense, from_sparse, 1e-8);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     StrategiesTargetsAndSigns, SparseDenseAgreement,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),

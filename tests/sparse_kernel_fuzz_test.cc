@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@
 #include "base/rng.h"
 #include "interval/interval_matrix.h"
 #include "linalg/matrix.h"
-#include "sparse/sparse_gram_operator.h"
+#include "sparse/block_matrix.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "sparse/sparse_kernels.h"
 
@@ -156,10 +157,14 @@ void RunTrial(uint64_t seed, RowDist dist) {
   scalar.MultiplyPair(x, x2, ref_pair_lo, ref_pair_hi);
   const Matrix ref_dense = scalar.MultiplyDense(Endpoint::kUpper, b);
   const IntervalMatrix ref_iprod = scalar.IntervalMultiplyDense(b);
-  const SparseGramOperator scalar_gram(scalar, scalar_t, Endpoint::kLower);
-  scalar_gram.ApplyBoth(x, ref_gram_lo, ref_gram_hi);
+  {
+    // The two-pass Gram composition: forward gather, transposed pair.
+    std::vector<double> t_lo, t_hi;
+    scalar.MultiplyBoth(x, t_lo, t_hi);
+    scalar_t.MultiplyPair(t_lo, t_hi, ref_gram_lo, ref_gram_hi);
+  }
   // The fused one-pass Gram on the scalar backend must agree with the
-  // two-pass composition the operator runs there.
+  // two-pass composition.
   {
     std::vector<double> fused_lo, fused_hi, fused_one;
     scalar.GramMultiplyBoth(x, fused_lo, fused_hi);
@@ -172,7 +177,6 @@ void RunTrial(uint64_t seed, RowDist dist) {
   for (spk::Backend backend : {spk::Backend::kAvx2, spk::Backend::kSell}) {
     SparseIntervalMatrix m = base;
     m.set_kernel(backend);
-    const SparseIntervalMatrix mt = m.Transpose();
     const std::string what = tag + "/" + spk::BackendName(backend);
 
     std::vector<double> y, y2;
@@ -196,8 +200,11 @@ void RunTrial(uint64_t seed, RowDist dist) {
     ExpectAgree(iprod.lower(), ref_iprod.lower(), what + "/iprod.lo");
     ExpectAgree(iprod.upper(), ref_iprod.upper(), what + "/iprod.hi");
 
-    const SparseGramOperator gram(m, mt, Endpoint::kLower);
-    gram.ApplyBoth(x, y, y2);
+    // The Gram action every sparse ISVD2-4 runs: the block-row store's,
+    // over a zero-copy view with 7-row shards.
+    const ShardedSparseIntervalMatrix view = ShardedSparseIntervalMatrix::View(
+        std::make_shared<const SparseIntervalMatrix>(m), 7);
+    view.GramMultiplyBoth(x, y, y2);
     ExpectAgree(y, ref_gram_lo, what + "/gram.lo");
     ExpectAgree(y2, ref_gram_hi, what + "/gram.hi");
     m.GramMultiplyBoth(x, y, y2);

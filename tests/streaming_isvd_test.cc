@@ -326,43 +326,41 @@ TEST(StreamingIsvdTest, StartsFromEmptyMatrix) {
   EXPECT_GT(streaming.result().sigma[0].hi, 0.5);
 }
 
-// shard_rows > 0 routes every refresh through the zero-copy sharded view.
-// The decomposition must match a from-scratch run of the same strategy
-// (sharded always resolves GramSide::kMtM, so pin the reference to it),
-// and sharded_snapshot() must expose a view matching the frozen matrix —
-// what the serving layer freezes into its snapshots.
-TEST(StreamingIsvdTest, ShardedRefreshMatchesFromScratch) {
-  Rng rng(910);
-  const size_t n = 40, m = 24, rank = 4;
+// A wide matrix resolves GramSide::kAuto to kMMt: ISVD2-4 refresh on a view
+// of the transpose, and their warm refreshes start from U (ISVD0/1 keep V).
+// Warm results must still agree with a from-scratch decomposition.
+TEST_P(StreamingIsvdStrategyTest, WideIncrementalMatchesFromScratchPerBatch) {
+  const int strategy = GetParam();
+  Rng rng(950 + strategy);
+  const size_t n = 24, m = 40, rank = 4;
   CellMap shadow = RandomBaseCells(n, m, 4, 0.35, rng);
 
   StreamingIsvdOptions options;
-  options.shard_rows = 8;
-  options.isvd.gram_side = GramSide::kMtM;
   StreamingIsvd streaming(
-      3, rank, SparseIntervalMatrix::FromTriplets(n, m, ToTriplets(shadow)),
-      options);
-  ASSERT_NE(streaming.sharded_snapshot(), nullptr);
-  EXPECT_EQ(streaming.sharded_snapshot()->rows(), n);
-  EXPECT_EQ(streaming.sharded_snapshot()->cols(), m);
-  EXPECT_EQ(streaming.sharded_snapshot()->num_shards(), 5u);
+      strategy, rank,
+      SparseIntervalMatrix::FromTriplets(n, m, ToTriplets(shadow)), options);
+  ASSERT_EQ(ResolveGramSide(*streaming.matrix_snapshot(),
+                            options.isvd.gram_side),
+            GramSide::kMMt);
 
-  for (int round = 0; round < 3; ++round) {
+  size_t warm_refreshes = 0;
+  for (int round = 0; round < 4; ++round) {
     const std::vector<IntervalTriplet> batch =
         RandomBatch(shadow, n, m, /*revisions=*/6, /*inserts=*/3, rng);
     streaming.ApplyBatch(batch);
     ApplyToShadow(shadow, batch);
 
     const IsvdResult& incremental = streaming.Refresh();
-    EXPECT_EQ(streaming.sharded_snapshot()->nnz(), shadow.size());
+    warm_refreshes += streaming.last_stats().warm ? 1 : 0;
 
     const IsvdResult from_scratch =
-        RunIsvd(3,
+        RunIsvd(strategy,
                 SparseIntervalMatrix::FromTriplets(n, m, ToTriplets(shadow)),
                 rank, options.isvd);
     SCOPED_TRACE(::testing::Message() << "round " << round);
     ExpectResultsAgree(from_scratch, incremental, 1e-8);
   }
+  EXPECT_GT(warm_refreshes, 0u);
 }
 
 }  // namespace

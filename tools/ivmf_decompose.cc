@@ -18,11 +18,13 @@
 // With --out_prefix=P the tool writes P_u.csv, P_sigma.csv, P_v.csv (interval
 // CSV for interval-valued outputs, scalar CSV otherwise) and P_recon.csv.
 //
-// --shard_rows=N (triplet input only) decomposes through a block-row
-// sharded store of N-row shards. --backing selects where the shard segments
-// live: memory (default), mmap (segment files in a temp store — the
-// out-of-core path), or auto:MB (memory unless the estimated store exceeds
-// MB mebibytes).
+// Triplet input decomposes through a zero-copy block-row view of the
+// loaded matrix on the smaller Gram side; a transpose is built only when
+// the matrix is wider than it is tall. --shard_rows=N (triplet input only)
+// instead copies the matrix into a block-row store of N-row shards, which
+// always eigendecomposes MᵀM. --backing selects where those shard segments live: memory
+// (default), mmap (segment files in a temp store — the out-of-core path),
+// or auto:MB (memory unless the estimated store exceeds MB mebibytes).
 
 #include <cstdio>
 #include <cstdlib>
@@ -53,7 +55,11 @@ void Usage() {
                "                      [--matcher=hungarian|greedy|stable] "
                "[--eig=jacobi|lanczos]\n"
                "                      [--shard_rows=N] "
-               "[--backing=memory|mmap|auto:MB] [--out_prefix=P]\n");
+               "[--backing=memory|mmap|auto:MB] [--out_prefix=P]\n"
+               "triplet input runs on a zero-copy view of the matrix "
+               "(transposed only when wide);\n"
+               "--shard_rows copies it into N-row shards (MtM Gram "
+               "only), stored per --backing\n");
 }
 
 // Parses --backing. Returns false (after Usage) on a malformed value.
