@@ -161,7 +161,7 @@ inline void WriteMemoryFields(JsonWriter& json) {
 // BENCH_*.json perf trajectory records why a number moved, not only that
 // it did.
 struct SolverCounterDeltas {
-  uint64_t matvecs = 0;        // sparse kernel invocations, all variants
+  uint64_t matvecs = 0;        // sparse kernel invocations, all kernels
   uint64_t matvec_nnz = 0;     // nonzeros those invocations streamed
   uint64_t iterations = 0;     // Krylov steps, eig + svd together
   uint64_t restarts = 0;       // invariant-subspace restarts
@@ -174,12 +174,10 @@ struct SolverCounterDeltas {
     const auto delta = [&](const char* prefix) {
       return after.CounterSum(prefix) - before.CounterSum(prefix);
     };
-    // CSR kernels count under sparse.matvec.*, block-row store kernels
-    // (every sparse ISVD and refresh) under sparse.sharded.matvec.*.
-    matvecs = delta("sparse.matvec.calls") +
-              delta("sparse.sharded.matvec.calls");
-    matvec_nnz =
-        delta("sparse.matvec.nnz") + delta("sparse.sharded.matvec.nnz");
+    // Every sparse kernel is a block-row store kernel and counts under
+    // sparse.sharded.matvec.*.
+    matvecs = delta("sparse.sharded.matvec.calls");
+    matvec_nnz = delta("sparse.sharded.matvec.nnz");
     iterations =
         delta("lanczos.eig.iterations") + delta("lanczos.svd.iterations");
     restarts = delta("lanczos.eig.restarts") + delta("lanczos.svd.restarts");

@@ -17,11 +17,11 @@
 //   bench_fig10_sparse_scale [--rank=10] [--strategy=-1] [--fill_pct=5]
 //                            [--alpha_pct=30] [--max_cells=100000000]
 //                            [--dense_limit=1500000] [--json[=PATH]]
-//                            [--kernel=auto|scalar|avx2|sell]
+//                            [--kernel=auto|scalar|avx2]
 //
-// --kernel pins the sparse matvec backend for the CF matrix (default: the
-// auto dispatch, i.e. whatever IVMF_SPARSE_KERNEL / cpuid resolves to);
-// every record carries the variant that actually ran as "kernel".
+// --kernel pins the sparse kernel backend for the CF matrix (default: the
+// auto dispatch, i.e. AVX2 when the CPU has it); every record carries the
+// variant that actually ran as "kernel".
 //
 // --json emits one record per (shape, strategy) row (see bench_util.h's
 // JsonWriter) so CI tracks the perf trajectory.
@@ -49,11 +49,11 @@ int main(int argc, char** argv) {
   const std::string kernel_flag = StringFlag(argc, argv, "kernel", "auto");
   spk::Backend kernel = spk::Backend::kAuto;
   if (!spk::ParseBackend(kernel_flag, &kernel)) {
-    std::fprintf(stderr, "error: unknown --kernel=%s (auto|scalar|avx2|sell)\n",
+    std::fprintf(stderr, "error: unknown --kernel=%s (auto|scalar|avx2)\n",
                  kernel_flag.c_str());
     return 1;
   }
-  // The variant the forward matvec actually runs under this selection.
+  // The variant the kernels actually run under this selection.
   const char* kernel_name = spk::BackendName(spk::Resolve(kernel));
 
   std::vector<int> strategies;

@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the computational kernels under the
-// ISVD pipeline: scalar/interval matrix products, sparse CSR matvec
-// variants (with the obs matvec/nnz counters surfaced per iteration),
+// ISVD pipeline: scalar/interval matrix products, the block-row store's
+// sparse kernels (with the obs matvec/nnz counters surfaced per iteration),
 // one-sided Jacobi SVD, symmetric Jacobi eigendecomposition, Hungarian
 // assignment, ILSA, a full ISVD4-b decomposition, the serving layer's
 // TopK query, and the triplet reader.
@@ -34,6 +34,7 @@
 #include "linalg/svd.h"
 #include "obs/metrics.h"
 #include "serve/serving_snapshot.h"
+#include "sparse/block_matrix.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "sparse/sparse_kernels.h"
 
@@ -136,13 +137,14 @@ void BM_Isvd4FullPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_Isvd4FullPipeline)->Arg(60)->Arg(120)->Arg(250);
 
-// -- Sparse CSR kernels -------------------------------------------------------
+// -- Sparse kernels -----------------------------------------------------------
 //
-// The matvec variants under every matrix-free solve, on the same synthetic
-// CF interval construction the fig10 benches use. Each benchmark brackets
-// its timing loop with registry snapshots and reports the per-iteration
-// matvec / nnz counter deltas, so the counters the solvers log are visible
-// (and sanity-checkable) at kernel granularity.
+// The kernels under every matrix-free solve, on the same synthetic CF
+// interval construction the fig10 benches use, run on a View of the matrix
+// partitioned as the ISVD entry points partition it. Each benchmark
+// brackets its timing loop with registry snapshots and reports the
+// per-iteration matvec / nnz counter deltas, so the counters the solvers
+// log are visible (and sanity-checkable) at kernel granularity.
 
 SparseIntervalMatrix CfMatrix(size_t users,
                               spk::Backend backend = spk::Backend::kAuto) {
@@ -157,24 +159,12 @@ SparseIntervalMatrix CfMatrix(size_t users,
   return m;
 }
 
-// The kernel variant a matrix's forward matvec actually runs, for labels.
-std::string ResolvedName(const SparseIntervalMatrix& m) {
-  return spk::BackendName(spk::Resolve(m.ResolvedKernel()));
-}
-
-// y_lo = M_*ᵀ(M_* x) and y_hi = M^*ᵀ(M^* x): the fused one-pass kernel on
-// AVX2, else MultiplyBoth into t_lo/t_hi and MultiplyPair over the held
-// transpose mt.
-void GramBoth(const SparseIntervalMatrix& m, const SparseIntervalMatrix& mt,
-              const std::vector<double>& x, std::vector<double>& t_lo,
-              std::vector<double>& t_hi, std::vector<double>& y_lo,
-              std::vector<double>& y_hi) {
-  if (spk::Resolve(m.ResolvedKernel()) == spk::Backend::kAvx2) {
-    m.GramMultiplyBoth(x, y_lo, y_hi);
-    return;
-  }
-  m.MultiplyBoth(x, t_lo, t_hi);
-  mt.MultiplyPair(t_lo, t_hi, y_lo, y_hi);
+// A View of CfMatrix(users) on `backend`, with the ViewShardRows partition.
+ShardedSparseIntervalMatrix CfView(size_t users,
+                                   spk::Backend backend = spk::Backend::kAuto) {
+  return ShardedSparseIntervalMatrix::View(
+      std::make_shared<const SparseIntervalMatrix>(CfMatrix(users, backend)),
+      ShardedSparseIntervalMatrix::ViewShardRows(users));
 }
 
 // Per-iteration counter deltas into the benchmark's user counters.
@@ -184,24 +174,24 @@ void ReportMatvecCounters(benchmark::State& state,
   const double iterations = static_cast<double>(state.iterations());
   if (iterations <= 0.0) return;
   state.counters["matvecs"] =
-      static_cast<double>(after.CounterSum("sparse.matvec.calls") -
-                          before.CounterSum("sparse.matvec.calls")) /
+      static_cast<double>(after.CounterSum("sparse.sharded.matvec.calls") -
+                          before.CounterSum("sparse.sharded.matvec.calls")) /
       iterations;
   state.counters["nnz_streamed"] =
-      static_cast<double>(after.CounterSum("sparse.matvec.nnz") -
-                          before.CounterSum("sparse.matvec.nnz")) /
+      static_cast<double>(after.CounterSum("sparse.sharded.matvec.nnz") -
+                          before.CounterSum("sparse.sharded.matvec.nnz")) /
       iterations;
 }
 
-// The sparse matvec benchmarks run once per backend: the plain name is the
-// dispatched (auto) path — what every solver call site gets — and the
-// Scalar / Sell suffixes pin the portable reference and the SELL-C-sigma
-// pack so the speedup is measurable from one JSON file. Labels carry the
-// variant the auto path resolved to on this machine.
+// The matvec and Gram benchmarks run once per backend: the plain name is
+// the dispatched (auto) path — what every solver call site gets — and the
+// Scalar suffix pins the portable reference, so the speedup is measurable
+// from one JSON file. Labels carry the variant the backend resolved to on
+// this machine.
 void SparseMultiplyBench(benchmark::State& state, spk::Backend backend) {
-  const SparseIntervalMatrix m =
-      CfMatrix(static_cast<size_t>(state.range(0)), backend);
-  state.SetLabel(ResolvedName(m));
+  const ShardedSparseIntervalMatrix m =
+      CfView(static_cast<size_t>(state.range(0)), backend);
+  state.SetLabel(spk::BackendName(spk::Resolve(backend)));
   std::vector<double> x(m.cols(), 1.0), y;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
@@ -218,15 +208,12 @@ void BM_SparseMultiply(benchmark::State& state) {
 void BM_SparseMultiplyScalar(benchmark::State& state) {
   SparseMultiplyBench(state, spk::Backend::kScalar);
 }
-void BM_SparseMultiplySell(benchmark::State& state) {
-  SparseMultiplyBench(state, spk::Backend::kSell);
-}
 BENCHMARK(BM_SparseMultiply)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseMultiplyScalar)->Arg(2000)->Arg(8000)->Arg(20000);
-BENCHMARK(BM_SparseMultiplySell)->Arg(2000)->Arg(8000)->Arg(20000);
 
 void BM_SparseMultiplyMid(benchmark::State& state) {
-  const SparseIntervalMatrix m = CfMatrix(static_cast<size_t>(state.range(0)));
+  const ShardedSparseIntervalMatrix m =
+      CfView(static_cast<size_t>(state.range(0)));
   std::vector<double> x(m.cols(), 1.0), y;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
@@ -240,7 +227,8 @@ void BM_SparseMultiplyMid(benchmark::State& state) {
 BENCHMARK(BM_SparseMultiplyMid)->Arg(2000)->Arg(8000)->Arg(20000);
 
 void BM_SparseMultiplyTranspose(benchmark::State& state) {
-  const SparseIntervalMatrix m = CfMatrix(static_cast<size_t>(state.range(0)));
+  const ShardedSparseIntervalMatrix m =
+      CfView(static_cast<size_t>(state.range(0)));
   std::vector<double> x(m.rows(), 1.0), y;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
@@ -253,28 +241,20 @@ void BM_SparseMultiplyTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMultiplyTranspose)->Arg(2000)->Arg(8000)->Arg(20000);
 
+// y = M_eᵀ (M_e x): the fused one-pass Gram apply ISVD2-4 iterate, on the
+// backend's kernel (the scalar one is what a scalar-pinned ISVD runs).
 void SparseGramApplyBench(benchmark::State& state, spk::Backend backend) {
-  const SparseIntervalMatrix m =
-      CfMatrix(static_cast<size_t>(state.range(0)), backend);
-  state.SetLabel(ResolvedName(m));
-  const SparseIntervalMatrix mt = m.Transpose();
-  const auto e = SparseIntervalMatrix::Endpoint::kUpper;
-  // y = M_eᵀ (M_e x): the fused one-pass kernel on AVX2, else the two-pass
-  // composition over the held transpose.
-  const bool fused = spk::Resolve(m.ResolvedKernel()) == spk::Backend::kAvx2;
-  std::vector<double> x(m.cols(), 1.0), scratch, y;
+  const ShardedSparseIntervalMatrix m =
+      CfView(static_cast<size_t>(state.range(0)), backend);
+  state.SetLabel(spk::BackendName(spk::Resolve(backend)));
+  std::vector<double> x(m.cols(), 1.0), y;
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
-    if (fused) {
-      m.GramMultiply(e, x, y);
-    } else {
-      m.Multiply(e, x, scratch);
-      mt.Multiply(e, scratch, y);
-    }
+    m.GramMultiply(SparseIntervalMatrix::Endpoint::kUpper, x, y);
     benchmark::DoNotOptimize(y.data());
   }
   ReportMatvecCounters(state, before);
-  // One Gram apply streams the nonzeros twice (M_e x, then M_eᵀ ·).
+  // One Gram apply touches every nonzero twice (M_e x, then M_eᵀ ·).
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(m.nnz()));
 }
@@ -284,31 +264,8 @@ void BM_SparseGramApply(benchmark::State& state) {
 void BM_SparseGramApplyScalar(benchmark::State& state) {
   SparseGramApplyBench(state, spk::Backend::kScalar);
 }
-void BM_SparseGramApplySell(benchmark::State& state) {
-  SparseGramApplyBench(state, spk::Backend::kSell);
-}
 BENCHMARK(BM_SparseGramApply)->Arg(2000)->Arg(8000)->Arg(20000);
 BENCHMARK(BM_SparseGramApplyScalar)->Arg(2000)->Arg(8000)->Arg(20000);
-BENCHMARK(BM_SparseGramApplySell)->Arg(2000)->Arg(8000)->Arg(20000);
-
-// Both-endpoint Gram action (the fused refresh building block), dispatched.
-void BM_SparseGramApplyBoth(benchmark::State& state) {
-  const SparseIntervalMatrix m = CfMatrix(static_cast<size_t>(state.range(0)));
-  state.SetLabel(ResolvedName(m));
-  const SparseIntervalMatrix mt = m.Transpose();
-  std::vector<double> x(m.cols(), 1.0), y_lo, y_hi, t_lo, t_hi;
-  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-  for (auto _ : state) {
-    GramBoth(m, mt, x, t_lo, t_hi, y_lo, y_hi);
-    benchmark::DoNotOptimize(y_lo.data());
-    benchmark::DoNotOptimize(y_hi.data());
-  }
-  ReportMatvecCounters(state, before);
-  // Both endpoints stream the pattern twice (forward + transpose pass).
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
-                          static_cast<int64_t>(m.nnz()));
-}
-BENCHMARK(BM_SparseGramApplyBoth)->Arg(2000)->Arg(8000)->Arg(20000);
 
 // -- Serving TopK -------------------------------------------------------------
 //
@@ -400,8 +357,9 @@ BENCHMARK(BM_TripletParse)->Arg(2000)->Arg(20000);
 
 // -- Differential self-check (--check) ---------------------------------------
 //
-// Compares every dispatched kernel entry point against the scalar reference
-// on the benchmark's own CF construction before any timing runs. A mismatch
+// Compares the store kernels of an AVX2 (and an auto) view against a
+// scalar view of the benchmark's own CF construction before any timing
+// runs. A mismatch
 // fails the process, so a CI bench run cannot publish numbers from a kernel
 // that diverged. Tolerance matches the differential tests: blocked + FMA
 // summation vs left-to-right, |diff| <= 1e-12 * max(1, |ref|).
@@ -424,12 +382,9 @@ bool VectorsAgree(const std::vector<double>& got,
   return true;
 }
 
-bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
-                               spk::Backend backend) {
-  SparseIntervalMatrix m = scalar;
-  m.set_kernel(backend);
-  const SparseIntervalMatrix scalar_t = scalar.Transpose();
-  const SparseIntervalMatrix mt = m.Transpose();
+bool CheckBackendAgainstScalar(const ShardedSparseIntervalMatrix& scalar,
+                               size_t users, spk::Backend backend) {
+  const ShardedSparseIntervalMatrix m = CfView(users, backend);
   const std::string label = spk::BackendName(backend);
   Rng rng(99);
   std::vector<double> x(m.cols()), xt(m.rows());
@@ -440,7 +395,7 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
     for (size_t j = 0; j < b.cols(); ++j) b(i, j) = rng.Uniform(-1.0, 1.0);
 
   bool ok = true;
-  std::vector<double> want, want2, got, got2;
+  std::vector<double> want, got;
   const auto kLower = SparseIntervalMatrix::Endpoint::kLower;
   const auto kUpper = SparseIntervalMatrix::Endpoint::kUpper;
 
@@ -450,10 +405,6 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
   scalar.MultiplyMid(x, want);
   m.MultiplyMid(x, got);
   ok &= VectorsAgree(got, want, (label + "/mid").c_str());
-  scalar.MultiplyBoth(x, want, want2);
-  m.MultiplyBoth(x, got, got2);
-  ok &= VectorsAgree(got, want, (label + "/both.lo").c_str());
-  ok &= VectorsAgree(got2, want2, (label + "/both.hi").c_str());
   scalar.MultiplyTranspose(kUpper, xt, want);
   m.MultiplyTranspose(kUpper, xt, got);
   ok &= VectorsAgree(got, want, (label + "/transpose").c_str());
@@ -464,22 +415,23 @@ bool CheckBackendAgainstScalar(const SparseIntervalMatrix& scalar,
   std::vector<double> dg(dense_got.data(),
                          dense_got.data() + dense_got.rows() * 4);
   ok &= VectorsAgree(dg, dw, (label + "/dense").c_str());
-  std::vector<double> t_lo, t_hi;
-  GramBoth(scalar, scalar_t, x, t_lo, t_hi, want, want2);
-  GramBoth(m, mt, x, t_lo, t_hi, got, got2);
+  scalar.GramMultiply(kLower, x, want);
+  m.GramMultiply(kLower, x, got);
   ok &= VectorsAgree(got, want, (label + "/gram.lo").c_str());
-  ok &= VectorsAgree(got2, want2, (label + "/gram.hi").c_str());
+  scalar.GramMultiply(kUpper, x, want);
+  m.GramMultiply(kUpper, x, got);
+  ok &= VectorsAgree(got, want, (label + "/gram.hi").c_str());
   return ok;
 }
 
-// Returns true when every backend reproduces the scalar reference.
+// Returns true when every backend's view reproduces the scalar view.
 bool RunKernelSelfCheck() {
   bool ok = true;
   for (size_t users : {501u, 4000u}) {
-    SparseIntervalMatrix scalar = CfMatrix(users, spk::Backend::kScalar);
-    for (spk::Backend backend :
-         {spk::Backend::kAuto, spk::Backend::kAvx2, spk::Backend::kSell}) {
-      ok &= CheckBackendAgainstScalar(scalar, backend);
+    const ShardedSparseIntervalMatrix scalar =
+        CfView(users, spk::Backend::kScalar);
+    for (spk::Backend backend : {spk::Backend::kAuto, spk::Backend::kAvx2}) {
+      ok &= CheckBackendAgainstScalar(scalar, users, backend);
     }
   }
   std::fprintf(stderr, "kernel self-check (dispatched=%s): %s\n",

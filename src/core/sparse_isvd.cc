@@ -337,26 +337,12 @@ IsvdResult RunIsvd(int strategy, const ShardedSparseIntervalMatrix& m,
 
 namespace {
 
-// A block-row view of `base`, partitioned by ViewShardRows.
-ShardedSparseIntervalMatrix ViewOf(
-    std::shared_ptr<const SparseIntervalMatrix> base) {
-  const size_t shard_rows =
-      ShardedSparseIntervalMatrix::ViewShardRows(base->rows());
-  return ShardedSparseIntervalMatrix::View(std::move(base), shard_rows);
-}
-
-// A view of `m` itself through a non-owning shared_ptr (the aliasing
-// constructor with an empty owner): no CSR array is copied, and the view
-// must not outlive the call.
-ShardedSparseIntervalMatrix BorrowedView(const SparseIntervalMatrix& m) {
-  return ViewOf(std::shared_ptr<const SparseIntervalMatrix>(
-      std::shared_ptr<const SparseIntervalMatrix>(), &m));
-}
-
 // The kMMt work store: a view that owns m.Transpose(), the only transpose
 // in the family. Callers charge its time to preprocess.
 ShardedSparseIntervalMatrix TransposedView(const SparseIntervalMatrix& m) {
-  return ViewOf(std::make_shared<const SparseIntervalMatrix>(m.Transpose()));
+  return ShardedSparseIntervalMatrix::View(
+      std::make_shared<const SparseIntervalMatrix>(m.Transpose()),
+      ShardedSparseIntervalMatrix::ViewShardRows(m.cols()));
 }
 
 // ISVD2–4 on a CSR matrix. The strategy runs on the work store of the Gram
@@ -371,7 +357,8 @@ IsvdResult GramStrategy(int strategy, const SparseIntervalMatrix& m,
                       : ResolveGramSide(m, options.gram_side) == GramSide::kMMt;
   Stopwatch sw;
   const ShardedSparseIntervalMatrix work =
-      transposed ? TransposedView(m) : BorrowedView(m);
+      transposed ? TransposedView(m)
+                 : ShardedSparseIntervalMatrix::BorrowedView(m);
   const double transpose_seconds = transposed ? sw.Seconds() : 0.0;
 
   IsvdResult result;
@@ -409,7 +396,8 @@ IsvdResult Isvd1(const SparseIntervalMatrix& m, size_t rank,
 GramEig ComputeGramEig(const SparseIntervalMatrix& m, size_t rank,
                        const IsvdOptions& options) {
   if (ResolveGramSide(m, options.gram_side) == GramSide::kMtM) {
-    return ComputeGramEig(BorrowedView(m), rank, options);
+    return ComputeGramEig(ShardedSparseIntervalMatrix::BorrowedView(m), rank,
+                          options);
   }
   Stopwatch sw;
   const ShardedSparseIntervalMatrix work = TransposedView(m);
@@ -454,7 +442,8 @@ IsvdResult RunIsvd(int strategy, const SparseIntervalMatrix& m, size_t rank,
                    const IsvdOptions& options) {
   IVMF_CHECK_MSG(strategy >= 0 && strategy <= 4, "ISVD strategy must be 0..4");
   if (strategy >= 2) return GramStrategy(strategy, m, rank, nullptr, options);
-  return RunIsvd(strategy, BorrowedView(m), rank, options);
+  return RunIsvd(strategy, ShardedSparseIntervalMatrix::BorrowedView(m), rank,
+                options);
 }
 
 }  // namespace ivmf

@@ -35,7 +35,9 @@ struct EigInstruments {
 namespace lanczos_internal {
 
 bool WarmStartVector(const Matrix& basis, size_t dim, std::vector<double>& v) {
-  if (basis.cols() == 0 || basis.rows() != dim) return false;
+  if (basis.cols() == 0) return false;
+  IVMF_CHECK_MSG(basis.rows() == dim,
+                 "warm-start basis dimension differs from the operator's");
   // Sums accumulate in a scratch vector so `v` really is untouched on the
   // degenerate-norm failure path, as the contract promises.
   std::vector<double> sums(dim, 0.0);

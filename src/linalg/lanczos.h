@@ -38,9 +38,10 @@ struct LanczosOptions {
   double restart_tolerance = 1e-8;
   // Warm start: columns approximating the dominant invariant subspace —
   // typically the previous step's Ritz vectors, carried across refreshes by
-  // the streaming ISVD driver. When non-empty and of matching dimension the
-  // Krylov start vector is the normalized column sum (equal energy in every
-  // carried direction) instead of a random draw; otherwise it is ignored.
+  // the streaming ISVD driver. When non-empty the Krylov start vector is the
+  // normalized column sum (equal energy in every carried direction) instead
+  // of a random draw; its row count must then equal the operator dimension
+  // (checked).
   Matrix start_basis;
   // When > 0, the small projected problem is solved every
   // `convergence_interval` steps and the iteration stops as soon as every
@@ -76,9 +77,12 @@ namespace lanczos_internal {
 // Builds the Krylov start vector from a warm-start basis: the normalized
 // column sum (orthonormal columns never cancel: ||sum||² = #cols), giving
 // equal energy to every carried Ritz direction. Returns false — leaving
-// `v` untouched — when the basis is absent or does not match the
-// dimension, so the caller falls back to its random cold start. Shared by
-// the eigensolver and the Golub–Kahan–Lanczos SVD.
+// `v` untouched — when the basis is absent (no columns) or its column sum
+// vanishes, so the caller falls back to its random cold start. A basis
+// whose row count is not `dim` is a checked precondition violation: the
+// basis is the solver's own carried state, so a mismatch is a bug in the
+// caller (say, the wrong factor captured), not a reason to start cold.
+// Shared by the eigensolver and the Golub–Kahan–Lanczos SVD.
 bool WarmStartVector(const Matrix& basis, size_t dim, std::vector<double>& v);
 
 }  // namespace lanczos_internal

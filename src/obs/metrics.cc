@@ -430,8 +430,8 @@ std::string PrometheusLabelName(const std::string& raw) {
   return out;
 }
 
-// "sparse.matvec.calls{kernel=multiply}" ->
-//   name "ivmf_sparse_matvec_calls", labels {kernel="multiply"}.
+// "sparse.sharded.matvec.calls{kernel=multiply}" ->
+//   name "ivmf_sparse_sharded_matvec_calls", labels {kernel="multiply"}.
 void SplitPrometheusKey(const std::string& key, std::string& name,
                         std::string& labels) {
   const size_t brace = key.find('{');

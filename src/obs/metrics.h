@@ -23,7 +23,7 @@
 // instrument. Naming scheme (see README "Observability"): dotted lowercase
 // "<subsystem>.<object>.<measure>", units spelled out in the final segment
 // (".seconds", ".cells"), variants as tags rather than name suffixes, e.g.
-//   sparse.matvec.calls{kernel=multiply}
+//   sparse.sharded.matvec.calls{kernel=multiply}
 //   streaming.refresh.seconds{mode=warm}
 //
 // All instruments are safe for concurrent mutation from any thread and are
@@ -197,7 +197,8 @@ struct MetricsSnapshot {
   // Value of one counter key (0 when absent).
   uint64_t CounterValue(std::string_view key) const;
   // Sum over every counter whose key starts with `name_prefix` — the usual
-  // way to total a tagged family, e.g. CounterSum("sparse.matvec.calls").
+  // way to total a tagged family, e.g.
+  // CounterSum("sparse.sharded.matvec.calls").
   uint64_t CounterSum(std::string_view name_prefix) const;
 
   // One JSON object {"counters": {...}, "gauges": {...},

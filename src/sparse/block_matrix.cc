@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -16,9 +15,11 @@ namespace ivmf {
 
 namespace {
 
-// Per-kernel counters for the sharded dispatch, tagged like the CSR
-// sparse.matvec family but with the shard-task count alongside rows/nnz —
-// the per-shard matvec accounting the observability layer scrapes.
+// Per-kernel counters for the sharded dispatch: calls, shard tasks, rows
+// and nnz streamed — the per-shard matvec accounting the observability
+// layer scrapes. The references are function-local statics at each call
+// site, so the registry mutex is touched once per kernel for the process
+// lifetime.
 struct ShardedKernelCounters {
   obs::Counter& calls;
   obs::Counter& shards;
@@ -82,8 +83,7 @@ ShardedSparseIntervalMatrix& ShardedSparseIntervalMatrix::operator=(
   shard_rows_ = other.shard_rows_;
   shards_ = std::move(other.shards_);
   base_ = std::move(other.base_);
-  resolved_ = other.resolved_;
-  csr_variant_ = other.csr_variant_;
+  backend_ = other.backend_;
   mmap_backed_ = other.mmap_backed_;
   store_dir_ = std::move(other.store_dir_);
   owns_store_ = other.owns_store_;
@@ -123,64 +123,12 @@ ShardedSparseIntervalMatrix::SegRef ShardedSparseIntervalMatrix::Seg(
     seg.row_begin = 0;
     seg.row_end = sh.rows;
     seg.offset = sh.row_begin;
-    seg.sell = sh.sell.get();
   }
   return seg;
 }
 
 void ShardedSparseIntervalMatrix::MaybeDropResidency(const SegRef& seg) const {
   if (drop_residency_ && seg.mapped != nullptr) seg.mapped->DropResidency();
-}
-
-void ShardedSparseIntervalMatrix::ResolveBackend(spk::Backend request) {
-  if (request == spk::Backend::kAuto) {
-    const spk::Backend env = spk::EnvBackend();
-    if (env != spk::Backend::kAuto) {
-      request = env;
-    } else if (rows_ > 0 && nnz_ > 0) {
-      // The same row-length statistics pass as the CSR
-      // ResolvedKernel, run over the shard-local offset arrays.
-      const double mean =
-          static_cast<double>(nnz_) / static_cast<double>(rows_);
-      double var = 0.0;
-      for (const Shard& sh : shards_) {
-        const size_t* rp;
-        size_t begin = 0;
-        if (base_ != nullptr) {
-          rp = base_->row_ptr_.data();
-          begin = sh.row_begin;
-        } else if (sh.mapped.valid()) {
-          rp = sh.mapped.row_ptr();
-        } else {
-          rp = sh.row_ptr.data();
-        }
-        for (size_t r = 0; r < sh.rows; ++r) {
-          const double d =
-              static_cast<double>(rp[begin + r + 1] - rp[begin + r]) - mean;
-          var += d * d;
-        }
-      }
-      const double cv =
-          mean > 0.0 ? std::sqrt(var / static_cast<double>(rows_)) / mean
-                     : 0.0;
-      request = spk::ChooseAutoBackend(mean, cv, spk::Avx2Supported());
-    }
-  }
-  resolved_ = spk::Resolve(request);
-  csr_variant_ = spk::CsrVariant(resolved_);
-}
-
-void ShardedSparseIntervalMatrix::BuildSellSidecars() {
-  if (resolved_ != spk::Backend::kSell) return;
-  // SELL packs are built for memory-owned shards only: a mapped segment's
-  // arrays live in the page cache (packing would defeat the budget), and a
-  // view shard would duplicate the base's own sidecar machinery.
-  for (Shard& sh : shards_) {
-    if (base_ != nullptr || sh.mapped.valid() || sh.rows == 0) continue;
-    std::vector<size_t> col(sh.col.begin(), sh.col.end());
-    sh.sell = std::make_shared<const SellPack>(sh.rows, cols_, sh.row_ptr,
-                                               col, sh.lo, sh.hi);
-  }
 }
 
 ShardedSparseIntervalMatrix ShardedSparseIntervalMatrix::FromCsr(
@@ -265,9 +213,7 @@ ShardedSparseIntervalMatrix ShardedSparseIntervalMatrix::FromCsr(
     }
     out.shards_.push_back(std::move(sh));
   }
-
-  out.ResolveBackend(m.kernel());
-  out.BuildSellSidecars();
+  out.backend_ = m.ResolvedKernel();
   return out;
 }
 
@@ -306,10 +252,18 @@ ShardedSparseIntervalMatrix ShardedSparseIntervalMatrix::View(
     sh.nnz = base->row_ptr()[re] - base->row_ptr()[rb];
     out.shards_.push_back(std::move(sh));
   }
-  const spk::Backend request = base->ResolvedKernel();
+  out.backend_ = base->ResolvedKernel();
   out.base_ = std::move(base);
-  out.ResolveBackend(request);
   return out;
+}
+
+ShardedSparseIntervalMatrix ShardedSparseIntervalMatrix::BorrowedView(
+    const SparseIntervalMatrix& m) {
+  // The aliasing constructor with an empty owner: a pointer that keeps
+  // nothing alive.
+  return View(std::shared_ptr<const SparseIntervalMatrix>(
+                  std::shared_ptr<const SparseIntervalMatrix>(), &m),
+              ViewShardRows(m.rows()));
 }
 
 bool ShardedSparseIntervalMatrix::OpenStore(const std::string& dir,
@@ -363,7 +317,6 @@ bool ShardedSparseIntervalMatrix::OpenStore(const std::string& dir,
   }
   m.rows_ = row_begin;
   m.shard_rows_ = sr > 0 ? sr : 1;
-  m.ResolveBackend(spk::Backend::kAuto);
   *out = std::move(m);
   return true;
 }
@@ -473,8 +426,6 @@ ShardedSparseIntervalMatrix ShardedSparseIntervalMatrix::Builder::Finish() {
   IVMF_CHECK_MSG(!finished_, "Finish called twice");
   finished_ = true;
   while (flushed_rows_ < m_.rows_) FlushShard();
-  m_.ResolveBackend(spk::Backend::kAuto);
-  m_.BuildSellSidecars();
   return std::move(m_);
 }
 
@@ -567,9 +518,7 @@ void ShardedSparseIntervalMatrix::Multiply(Endpoint e,
   ParallelFor(0, shards_.size(), [&](size_t s) {
     const SegRef seg = Seg(s);
     const double* v = e == Endpoint::kLower ? seg.lo : seg.hi;
-    if (seg.sell != nullptr) {
-      seg.sell->MatVec(e == Endpoint::kUpper, x.data(), y.data() + seg.offset);
-    } else if (csr_variant_ == spk::Backend::kAvx2) {
+    if (backend_ == spk::Backend::kAvx2) {
       spk::MatVecPackedAvx2(seg.view, v, x.data(), y.data() + seg.offset,
                             seg.row_begin, seg.row_end);
     } else {
@@ -589,9 +538,7 @@ void ShardedSparseIntervalMatrix::MultiplyMid(const std::vector<double>& x,
   y.resize(rows_);
   ParallelFor(0, shards_.size(), [&](size_t s) {
     const SegRef seg = Seg(s);
-    if (seg.sell != nullptr) {
-      seg.sell->MatVecMid(x.data(), y.data() + seg.offset);
-    } else if (csr_variant_ == spk::Backend::kAvx2) {
+    if (backend_ == spk::Backend::kAvx2) {
       spk::MatVecMidPackedAvx2(seg.view, seg.lo, seg.hi, x.data(),
                                y.data() + seg.offset, seg.row_begin,
                                seg.row_end);
@@ -599,38 +546,6 @@ void ShardedSparseIntervalMatrix::MultiplyMid(const std::vector<double>& x,
       spk::MatVecMidPackedScalar(seg.view, seg.lo, seg.hi, x.data(),
                                  y.data() + seg.offset, seg.row_begin,
                                  seg.row_end);
-    }
-    MaybeDropResidency(seg);
-  });
-}
-
-void ShardedSparseIntervalMatrix::MultiplyBoth(const std::vector<double>& x,
-                                               std::vector<double>& y_lo,
-                                               std::vector<double>& y_hi)
-    const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x && &y_hi != &x,
-                 "kernel output must not alias the input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  static ShardedKernelCounters counters("multiply_both");
-  counters.Count(shards_.size(), rows_, nnz_);
-  y_lo.resize(rows_);
-  y_hi.resize(rows_);
-  ParallelFor(0, shards_.size(), [&](size_t s) {
-    const SegRef seg = Seg(s);
-    if (seg.sell != nullptr) {
-      seg.sell->MatVecBoth(x.data(), y_lo.data() + seg.offset,
-                           y_hi.data() + seg.offset);
-    } else if (csr_variant_ == spk::Backend::kAvx2) {
-      spk::MatVecBothPackedAvx2(seg.view, seg.lo, seg.hi, x.data(),
-                                y_lo.data() + seg.offset,
-                                y_hi.data() + seg.offset, seg.row_begin,
-                                seg.row_end);
-    } else {
-      spk::MatVecBothPackedScalar(seg.view, seg.lo, seg.hi, x.data(),
-                                  y_lo.data() + seg.offset,
-                                  y_hi.data() + seg.offset, seg.row_begin,
-                                  seg.row_end);
     }
     MaybeDropResidency(seg);
   });
@@ -691,10 +606,10 @@ void ShardedSparseIntervalMatrix::ReduceOverShards(
     size_t acc_len, ScatterFn&& scatter, std::vector<double>* out0,
     std::vector<double>* out1) const {
   const size_t num_shards = shards_.size();
-  // The same deterministic partition math as the CSR reduction
-  // kernels (kMinRowsPerThread = 2048, column reduce at 4096), except that
-  // work splits on shard boundaries: each group owns a contiguous shard
-  // range and scatters it sequentially into private accumulators.
+  // Deterministic partition: at most one group per 2048 rows and per pool
+  // thread, splitting on shard boundaries; each group owns a contiguous
+  // shard range and scatters it sequentially into private accumulators,
+  // and the column reduce runs at >= 4096 columns per task.
   constexpr size_t kMinRowsPerThread = 2048;
   size_t groups = SuggestedThreads(rows_);
   const size_t cap = (rows_ + kMinRowsPerThread - 1) / kMinRowsPerThread;
@@ -789,7 +704,7 @@ void ShardedSparseIntervalMatrix::GramMultiply(Endpoint e,
   IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
   static ShardedKernelCounters counters("gram_fused");
   counters.Count(shards_.size(), rows_, nnz_);
-  const bool avx2 = csr_variant_ == spk::Backend::kAvx2;
+  const bool avx2 = backend_ == spk::Backend::kAvx2;
   ReduceOverShards(
       cols_,
       [&](const SegRef& seg, double* p0, double* /*p1*/) {
@@ -803,30 +718,6 @@ void ShardedSparseIntervalMatrix::GramMultiply(Endpoint e,
         }
       },
       &y, nullptr);
-}
-
-void ShardedSparseIntervalMatrix::GramMultiplyBoth(
-    const std::vector<double>& x, std::vector<double>& y_lo,
-    std::vector<double>& y_hi) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x && &y_hi != &x,
-                 "kernel output must not alias the input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  static ShardedKernelCounters counters("gram_fused_both");
-  counters.Count(shards_.size(), rows_, nnz_);
-  const bool avx2 = csr_variant_ == spk::Backend::kAvx2;
-  ReduceOverShards(
-      cols_,
-      [&](const SegRef& seg, double* p0, double* p1) {
-        if (avx2) {
-          spk::GramFusedBothPackedAvx2(seg.view, seg.lo, seg.hi, x.data(), p0,
-                                       p1, seg.row_begin, seg.row_end);
-        } else {
-          spk::GramFusedBothPackedScalar(seg.view, seg.lo, seg.hi, x.data(),
-                                         p0, p1, seg.row_begin, seg.row_end);
-        }
-      },
-      &y_lo, &y_hi);
 }
 
 IntervalMatrix ShardedSparseIntervalMatrix::IntervalMultiplyDenseTranspose(

@@ -1,24 +1,24 @@
 // Block-row sharded sparse interval matrices: the store every sparse ISVD
-// runs on.
+// runs on, and the only sparse kernel surface in the library.
 //
 // A ShardedSparseIntervalMatrix splits the row range into fixed-size
-// shards, each an independent CSR segment with its own packed 32-bit
-// column-index sidecar (and a SELL pack when the row statistics pick that
-// backend). Every kernel of the CSR SparseIntervalMatrix exists here with
-// identical semantics, executed shard-parallel on the shared ThreadPool:
+// shards, each an independent CSR segment with a packed 16/32-bit
+// column-index stream. Every kernel runs shard-parallel on the shared
+// ThreadPool, on the backend fixed at construction (spk::Resolve of the
+// source matrix's set_kernel request; kAuto — AVX2 when the CPU has it —
+// for Builder and OpenStore stores):
 //
-//  - Forward kernels (Multiply / MultiplyMid / MultiplyBoth / MultiplyDense
-//    / IntervalMultiplyDense) write disjoint row ranges, one task per
-//    shard; each output entry is computed by the same per-row loop as the
-//    CSR kernel, so forward results are bit-identical to the CSR matrix
-//    under the same resolved backend.
-//  - Reduction kernels (MultiplyTranspose / GramMultiply / GramMultiplyBoth
-//    / IntervalMultiplyDenseTranspose) give each shard group a private
-//    cols-sized accumulator — the Gram apply is literally the block sum
-//    A†ᵀA† = Σ_s M_sᵀ M_s — and reduce the partials column-parallel in
-//    fixed group order, the same deterministic scheme the CSR kernels use
-//    (equal to the serial result up to roundoff, bit-stable across calls
-//    on a fixed machine).
+//  - Forward kernels (Multiply / MultiplyMid / MultiplyDense /
+//    IntervalMultiplyDense) write disjoint row ranges, one task per shard;
+//    each output entry is computed by one per-row loop over the row's
+//    entries, so under one backend forward results are bit-identical for
+//    every shard size and backing (memory, mmap and view alike).
+//  - Reduction kernels (MultiplyTranspose / MultiplyTransposeMid /
+//    GramMultiply / IntervalMultiplyDenseTranspose) give each shard group a
+//    private cols-sized accumulator — the Gram apply is literally the block
+//    sum A†ᵀA† = Σ_s M_sᵀ M_s — and reduce the partials column-parallel in
+//    fixed group order (equal to the serial result up to roundoff,
+//    bit-stable across calls on a fixed machine).
 //
 // Backing (BackingPolicy): shards own heap buffers (kMemory), or mmap
 // segment files written through shard_store.h (kMmap) — the out-of-core
@@ -50,7 +50,6 @@
 #include "interval/interval_matrix.h"
 #include "linalg/linear_operator.h"
 #include "sparse/shard_store.h"
-#include "sparse/sell_matrix.h"
 #include "sparse/sparse_interval_matrix.h"
 
 namespace ivmf {
@@ -92,6 +91,13 @@ class ShardedSparseIntervalMatrix {
   static ShardedSparseIntervalMatrix View(
       std::shared_ptr<const SparseIntervalMatrix> base, size_t shard_rows);
 
+  // A View of `m` partitioned by ViewShardRows, through a non-owning
+  // pointer: no CSR array is copied, and the view must not outlive `m`.
+  // What the CSR entry points (SparseIntervalMatrix::Multiply, the
+  // core/sparse_isvd.h overloads) run on for the length of one call.
+  static ShardedSparseIntervalMatrix BorrowedView(
+      const SparseIntervalMatrix& m);
+
   // The shard size the CSR ISVD entry points view a `rows`-row matrix
   // with: about four shards per pool thread, so the shard tasks balance,
   // and never under 256 rows, so a shard amortizes its dispatch.
@@ -125,12 +131,6 @@ class ShardedSparseIntervalMatrix {
   // explicit directories persist for OpenStore.
   const std::string& store_dir() const { return store_dir_; }
 
-  // The concrete backend the shard kernels dispatch on (resolved at
-  // construction from the request / environment / row statistics; never
-  // kAuto). SELL applies to memory-backed shards only — mapped and
-  // view-backed shards run the packed-CSR variant.
-  spk::Backend resolved_kernel() const { return resolved_; }
-
   // Entry lookup by shard + binary search within the row.
   Interval At(size_t i, size_t j) const;
 
@@ -140,9 +140,8 @@ class ShardedSparseIntervalMatrix {
   bool IsProper() const;
   bool IsNonNegative(double tol = 0.0) const;
 
-  // -- Kernels (CSR semantics, shard-parallel execution) ---------------------
-  // Aliasing contract as in SparseIntervalMatrix: outputs must not alias
-  // inputs or each other.
+  // -- Kernels (shard-parallel execution) ------------------------------------
+  // Aliasing contract (checked): outputs must not alias inputs.
 
   // y = A_e x (y resized to rows()); one pool task per shard.
   void Multiply(Endpoint e, const std::vector<double>& x,
@@ -150,10 +149,6 @@ class ShardedSparseIntervalMatrix {
 
   // y = ((A_* + A^*) / 2) x.
   void MultiplyMid(const std::vector<double>& x, std::vector<double>& y) const;
-
-  // y_lo = A_* x, y_hi = A^* x in one pattern pass per shard.
-  void MultiplyBoth(const std::vector<double>& x, std::vector<double>& y_lo,
-                    std::vector<double>& y_hi) const;
 
   // y = A_eᵀ x via per-group scatter partials + fixed-order reduction.
   void MultiplyTranspose(Endpoint e, const std::vector<double>& x,
@@ -169,11 +164,6 @@ class ShardedSparseIntervalMatrix {
   // transpose — this is the operator under the out-of-core ISVD2-4.
   void GramMultiply(Endpoint e, const std::vector<double>& x,
                     std::vector<double>& y) const;
-
-  // Both endpoint Gram actions fused over one pattern pass per shard.
-  void GramMultiplyBoth(const std::vector<double>& x,
-                        std::vector<double>& y_lo,
-                        std::vector<double>& y_hi) const;
 
   // C = A_e B for dense B (cols() x k), row-parallel over shards.
   Matrix MultiplyDense(Endpoint e, const Matrix& b) const;
@@ -212,7 +202,6 @@ class ShardedSparseIntervalMatrix {
     std::vector<double> lo;
     std::vector<double> hi;
     MappedSegment mapped;
-    std::shared_ptr<const SellPack> sell;  // owned shards on kSell only
   };
 
   // Kernel-facing description of one shard: a packed view plus the row
@@ -224,15 +213,10 @@ class ShardedSparseIntervalMatrix {
     size_t row_begin = 0;  // range within `view`
     size_t row_end = 0;
     size_t offset = 0;  // global row of view-row row_begin, minus row_begin
-    const SellPack* sell = nullptr;
     const MappedSegment* mapped = nullptr;
   };
   SegRef Seg(size_t s) const;
 
-  // Fixes resolved_ / csr_variant_ from the request, the environment, and
-  // (for a still-kAuto request) the matrix's own row-length statistics.
-  void ResolveBackend(spk::Backend request);
-  void BuildSellSidecars();
   void MaybeDropResidency(const SegRef& seg) const;
 
   // Shared scaffolding of the scatter-reduction kernels: partitions shards
@@ -250,8 +234,8 @@ class ShardedSparseIntervalMatrix {
   size_t shard_rows_ = 0;
   std::vector<Shard> shards_;
   std::shared_ptr<const SparseIntervalMatrix> base_;  // view backing only
-  spk::Backend resolved_ = spk::Backend::kScalar;
-  spk::Backend csr_variant_ = spk::Backend::kScalar;  // kAvx2 or kScalar
+  // The backend every shard kernel runs (kAvx2 or kScalar, never kAuto).
+  spk::Backend backend_ = spk::Resolve(spk::Backend::kAuto);
   bool mmap_backed_ = false;
   std::string store_dir_;
   bool owns_store_ = false;

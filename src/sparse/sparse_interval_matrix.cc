@@ -4,81 +4,9 @@
 #include <cmath>
 
 #include "base/check.h"
-#include "base/parallel.h"
-#include "obs/metrics.h"
+#include "sparse/block_matrix.h"
 
 namespace ivmf {
-
-namespace {
-
-// One counter triple per (kernel, variant). The references are
-// function-local statics at each call site, so the registry mutex is
-// touched once per kernel for the process lifetime; the per-call cost is
-// three relaxed adds.
-struct KernelCounters {
-  obs::Counter& calls;
-  obs::Counter& rows;
-  obs::Counter& nnz;
-
-  KernelCounters(const char* kernel, const char* variant)
-      : calls(obs::MetricsRegistry::Global().GetCounter(
-            "sparse.matvec.calls",
-            {{"kernel", kernel}, {"variant", variant}})),
-        rows(obs::MetricsRegistry::Global().GetCounter(
-            "sparse.matvec.rows", {{"kernel", kernel}, {"variant", variant}})),
-        nnz(obs::MetricsRegistry::Global().GetCounter(
-            "sparse.matvec.nnz", {{"kernel", kernel}, {"variant", variant}})) {
-  }
-
-  void Count(size_t rows_processed, size_t nnz_processed) {
-    calls.Add(1);
-    rows.Add(rows_processed);
-    nnz.Add(nnz_processed);
-  }
-};
-
-// The counter triples of one kernel across the three dispatchable variants,
-// indexed by the backend that actually runs a call.
-struct VariantCounters {
-  KernelCounters scalar;
-  KernelCounters avx2;
-  KernelCounters sell;
-
-  explicit VariantCounters(const char* kernel)
-      : scalar(kernel, "scalar"), avx2(kernel, "avx2"), sell(kernel, "sell") {}
-
-  KernelCounters& For(spk::Backend resolved) {
-    switch (resolved) {
-      case spk::Backend::kAvx2:
-        return avx2;
-      case spk::Backend::kSell:
-        return sell;
-      default:
-        return scalar;
-    }
-  }
-};
-
-// Partitions rows [0, rows) into fixed-size blocks handed to fn(begin, end)
-// — possibly in parallel, with at least `min_rows` rows per worker. The
-// blocking (not the thread count) fixes each kernel's association order,
-// so results are bit-stable across calls.
-template <typename Fn>
-void ForRowBlocks(size_t rows, size_t min_rows, Fn&& fn) {
-  constexpr size_t kRowBlock = 256;
-  const size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
-  const size_t min_blocks = (min_rows + kRowBlock - 1) / kRowBlock;
-  ParallelFor(
-      0, blocks,
-      [&](size_t b) {
-        const size_t begin = b * kRowBlock;
-        fn(begin, std::min(rows, begin + kRowBlock));
-      },
-      /*max_threads=*/0,
-      /*min_items_per_thread=*/min_blocks > 0 ? min_blocks : 1);
-}
-
-}  // namespace
 
 SparseIntervalMatrix SparseIntervalMatrix::FromTriplets(
     size_t rows, size_t cols, std::vector<IntervalTriplet> triplets,
@@ -244,39 +172,6 @@ bool SparseIntervalMatrix::IsNonNegative(double tol) const {
   return true;
 }
 
-spk::Backend SparseIntervalMatrix::ResolvedKernel() const {
-  if (kernel_ != spk::Backend::kAuto) return kernel_;
-  if (spk::EnvBackend() != spk::Backend::kAuto) return kernel_;
-  if (rows_ == 0 || nnz() == 0) return kernel_;
-  AutoSlot* slot = auto_.get();
-  std::call_once(slot->once, [&] {
-    const double mean =
-        static_cast<double>(nnz()) / static_cast<double>(rows_);
-    double var = 0.0;
-    for (size_t i = 0; i < rows_; ++i) {
-      const double d =
-          static_cast<double>(row_ptr_[i + 1] - row_ptr_[i]) - mean;
-      var += d * d;
-    }
-    const double cv =
-        mean > 0.0
-            ? std::sqrt(var / static_cast<double>(rows_)) / mean
-            : 0.0;
-    slot->backend = spk::ChooseAutoBackend(mean, cv, spk::Avx2Supported());
-  });
-  return slot->backend;
-}
-
-const SellPack& SparseIntervalMatrix::EnsureSell() const {
-  SellSlot* slot = sell_.get();
-  std::call_once(slot->once, [&] {
-    slot->pack =
-        std::make_unique<const SellPack>(rows_, cols_, row_ptr_, col_idx_,
-                                         lo_, hi_);
-  });
-  return *slot->pack;
-}
-
 spk::PackedCsrView SparseIntervalMatrix::PackedView() const {
   PackedSlot* slot = packed_.get();
   // Column indices are < cols_, so they fit u16 exactly when cols_ <= 2^16.
@@ -308,387 +203,7 @@ spk::PackedCsrView SparseIntervalMatrix::PackedView() const {
 
 void SparseIntervalMatrix::Multiply(Endpoint e, const std::vector<double>& x,
                                     std::vector<double>& y) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
-  const spk::Backend backend = spk::Resolve(ResolvedKernel());
-  static VariantCounters counters("multiply");
-  counters.For(backend).Count(rows_, nnz());
-  const std::vector<double>& v = values(e);
-  y.resize(rows_);
-  if (backend == spk::Backend::kSell) {
-    EnsureSell().MatVec(e == Endpoint::kUpper, x.data(), y.data());
-    return;
-  }
-  // The AVX2 variant runs over the narrow-index sidecar: at 16 bytes/nnz
-  // the plain CSR stream saturates single-core bandwidth before the gathers
-  // do, so the win comes from shrinking the stream, not just the blocking.
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  ForRowBlocks(rows_, 512, [&](size_t begin, size_t end) {
-    if (avx2) {
-      spk::MatVecPackedAvx2(packed, v.data(), x.data(), y.data(), begin, end);
-    } else {
-      spk::MatVecScalar(view, v.data(), x.data(), y.data(), begin, end);
-    }
-  });
-}
-
-void SparseIntervalMatrix::MultiplyMid(const std::vector<double>& x,
-                                       std::vector<double>& y) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
-  const spk::Backend backend = spk::Resolve(ResolvedKernel());
-  static VariantCounters counters("multiply_mid");
-  counters.For(backend).Count(rows_, nnz());
-  y.resize(rows_);
-  if (backend == spk::Backend::kSell) {
-    EnsureSell().MatVecMid(x.data(), y.data());
-    return;
-  }
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  ForRowBlocks(rows_, 512, [&](size_t begin, size_t end) {
-    if (avx2) {
-      spk::MatVecMidPackedAvx2(packed, lo_.data(), hi_.data(), x.data(),
-                               y.data(), begin, end);
-    } else {
-      spk::MatVecMidScalar(view, lo_.data(), hi_.data(), x.data(), y.data(),
-                           begin, end);
-    }
-  });
-}
-
-void SparseIntervalMatrix::MultiplyBoth(const std::vector<double>& x,
-                                        std::vector<double>& y_lo,
-                                        std::vector<double>& y_hi) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x && &y_hi != &x,
-                 "kernel output must not alias the input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  const spk::Backend backend = spk::Resolve(ResolvedKernel());
-  static VariantCounters counters("multiply_both");
-  counters.For(backend).Count(rows_, nnz());
-  y_lo.resize(rows_);
-  y_hi.resize(rows_);
-  if (backend == spk::Backend::kSell) {
-    EnsureSell().MatVecBoth(x.data(), y_lo.data(), y_hi.data());
-    return;
-  }
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  ForRowBlocks(rows_, 512, [&](size_t begin, size_t end) {
-    if (avx2) {
-      spk::MatVecBothPackedAvx2(packed, lo_.data(), hi_.data(), x.data(),
-                                y_lo.data(), y_hi.data(), begin, end);
-    } else {
-      spk::MatVecBothScalar(view, lo_.data(), hi_.data(), x.data(),
-                            y_lo.data(), y_hi.data(), begin, end);
-    }
-  });
-}
-
-void SparseIntervalMatrix::MultiplyPair(const std::vector<double>& x_lo,
-                                        const std::vector<double>& x_hi,
-                                        std::vector<double>& y_lo,
-                                        std::vector<double>& y_hi) const {
-  IVMF_CHECK(x_lo.size() == cols_ && x_hi.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x_lo && &y_lo != &x_hi && &y_hi != &x_lo &&
-                     &y_hi != &x_hi,
-                 "kernel output must not alias an input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  // SELL does not cover the two-input pair; use the dispatched CSR variant.
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
-  static VariantCounters counters("multiply_pair");
-  counters.For(backend).Count(rows_, nnz());
-  y_lo.resize(rows_);
-  y_hi.resize(rows_);
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  ForRowBlocks(rows_, 512, [&](size_t begin, size_t end) {
-    if (avx2) {
-      spk::MatVecPairPackedAvx2(packed, lo_.data(), hi_.data(), x_lo.data(),
-                                x_hi.data(), y_lo.data(), y_hi.data(), begin,
-                                end);
-    } else {
-      spk::MatVecPairScalar(view, lo_.data(), hi_.data(), x_lo.data(),
-                            x_hi.data(), y_lo.data(), y_hi.data(), begin,
-                            end);
-    }
-  });
-}
-
-void SparseIntervalMatrix::MultiplyTranspose(Endpoint e,
-                                             const std::vector<double>& x,
-                                             std::vector<double>& y) const {
-  IVMF_CHECK(x.size() == rows_);
-  IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
-  // SELL stores the forward pattern only; the scatter falls back to the
-  // dispatched CSR variant (AVX2 register-blocks the multiply — no scatter
-  // instruction exists pre-AVX512, so stores stay scalar).
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
-  static VariantCounters counters("multiply_transpose");
-  counters.For(backend).Count(rows_, nnz());
-  const std::vector<double>& v = values(e);
-  const spk::CsrView view = View();
-  const auto scatter = [&](double* out, size_t begin, size_t end) {
-    if (backend == spk::Backend::kAvx2) {
-      spk::MatVecTAvx2(view, v.data(), x.data(), out, begin, end);
-    } else {
-      spk::MatVecTScalar(view, v.data(), x.data(), out, begin, end);
-    }
-  };
-
-  // Each worker scatters its block of rows into a private accumulator, then
-  // the accumulators reduce column-parallel in fixed block order. The
-  // partitioning depends only on the shape and hardware concurrency, so
-  // repeated calls are bit-identical.
-  constexpr size_t kMinRowsPerThread = 2048;
-  size_t threads = SuggestedThreads(rows_);
-  const size_t cap = (rows_ + kMinRowsPerThread - 1) / kMinRowsPerThread;
-  if (threads > cap) threads = cap;
-  if (threads <= 1) {
-    y.assign(cols_, 0.0);
-    scatter(y.data(), 0, rows_);
-    return;
-  }
-
-  std::vector<std::vector<double>> partials(threads);
-  const size_t chunk = (rows_ + threads - 1) / threads;
-  ParallelFor(
-      0, threads,
-      [&](size_t t) {
-        std::vector<double>& part = partials[t];
-        part.assign(cols_, 0.0);
-        const size_t row_begin = t * chunk;
-        const size_t row_end = std::min(rows_, row_begin + chunk);
-        scatter(part.data(), row_begin, row_end);
-      },
-      /*max_threads=*/threads);
-  y.resize(cols_);
-  ParallelFor(
-      0, cols_,
-      [&](size_t j) {
-        double sum = 0.0;
-        for (size_t t = 0; t < partials.size(); ++t) sum += partials[t][j];
-        y[j] = sum;
-      },
-      /*max_threads=*/0, /*min_items_per_thread=*/4096);
-}
-
-void SparseIntervalMatrix::GramMultiply(Endpoint e,
-                                        const std::vector<double>& x,
-                                        std::vector<double>& y) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y != &x, "kernel output must not alias the input");
-  // One pass over the pattern: each row's dot against x scatters back scaled
-  // by the row values while the row is cache-hot — half the memory traffic
-  // of Multiply + MultiplyTranspose. SELL stores forward-matvec kernels
-  // only, so the fused form uses the dispatched CSR variant.
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
-  static VariantCounters counters("gram_fused");
-  counters.For(backend).Count(rows_, nnz());
-  const std::vector<double>& v = values(e);
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  const auto fused = [&](double* out, size_t begin, size_t end) {
-    if (avx2) {
-      spk::GramFusedPackedAvx2(packed, v.data(), x.data(), out, begin, end);
-    } else {
-      spk::GramFusedScalar(view, v.data(), x.data(), out, begin, end);
-    }
-  };
-
-  // Same deterministic partition + reduction scheme as MultiplyTranspose:
-  // the scatter accumulates, so workers need private output accumulators.
-  constexpr size_t kMinRowsPerThread = 2048;
-  size_t threads = SuggestedThreads(rows_);
-  const size_t cap = (rows_ + kMinRowsPerThread - 1) / kMinRowsPerThread;
-  if (threads > cap) threads = cap;
-  if (threads <= 1) {
-    y.assign(cols_, 0.0);
-    fused(y.data(), 0, rows_);
-    return;
-  }
-
-  std::vector<std::vector<double>> partials(threads);
-  const size_t chunk = (rows_ + threads - 1) / threads;
-  ParallelFor(
-      0, threads,
-      [&](size_t t) {
-        std::vector<double>& part = partials[t];
-        part.assign(cols_, 0.0);
-        const size_t row_begin = t * chunk;
-        const size_t row_end = std::min(rows_, row_begin + chunk);
-        fused(part.data(), row_begin, row_end);
-      },
-      /*max_threads=*/threads);
-  y.resize(cols_);
-  ParallelFor(
-      0, cols_,
-      [&](size_t j) {
-        double sum = 0.0;
-        for (size_t t = 0; t < partials.size(); ++t) sum += partials[t][j];
-        y[j] = sum;
-      },
-      /*max_threads=*/0, /*min_items_per_thread=*/4096);
-}
-
-void SparseIntervalMatrix::GramMultiplyBoth(const std::vector<double>& x,
-                                            std::vector<double>& y_lo,
-                                            std::vector<double>& y_hi) const {
-  IVMF_CHECK(x.size() == cols_);
-  IVMF_CHECK_MSG(&y_lo != &x && &y_hi != &x,
-                 "kernel output must not alias the input");
-  IVMF_CHECK_MSG(&y_lo != &y_hi, "endpoint outputs must be distinct");
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
-  static VariantCounters counters("gram_fused_both");
-  counters.For(backend).Count(rows_, nnz());
-  const spk::CsrView view = View();
-  const bool avx2 = backend == spk::Backend::kAvx2;
-  const spk::PackedCsrView packed =
-      avx2 ? PackedView() : spk::PackedCsrView{};
-  const auto fused = [&](double* out_lo, double* out_hi, size_t begin,
-                         size_t end) {
-    if (avx2) {
-      spk::GramFusedBothPackedAvx2(packed, lo_.data(), hi_.data(), x.data(),
-                                   out_lo, out_hi, begin, end);
-    } else {
-      spk::GramFusedBothScalar(view, lo_.data(), hi_.data(), x.data(), out_lo,
-                               out_hi, begin, end);
-    }
-  };
-
-  constexpr size_t kMinRowsPerThread = 2048;
-  size_t threads = SuggestedThreads(rows_);
-  const size_t cap = (rows_ + kMinRowsPerThread - 1) / kMinRowsPerThread;
-  if (threads > cap) threads = cap;
-  if (threads <= 1) {
-    y_lo.assign(cols_, 0.0);
-    y_hi.assign(cols_, 0.0);
-    fused(y_lo.data(), y_hi.data(), 0, rows_);
-    return;
-  }
-
-  std::vector<std::vector<double>> partials_lo(threads);
-  std::vector<std::vector<double>> partials_hi(threads);
-  const size_t chunk = (rows_ + threads - 1) / threads;
-  ParallelFor(
-      0, threads,
-      [&](size_t t) {
-        partials_lo[t].assign(cols_, 0.0);
-        partials_hi[t].assign(cols_, 0.0);
-        const size_t row_begin = t * chunk;
-        const size_t row_end = std::min(rows_, row_begin + chunk);
-        fused(partials_lo[t].data(), partials_hi[t].data(), row_begin,
-              row_end);
-      },
-      /*max_threads=*/threads);
-  y_lo.resize(cols_);
-  y_hi.resize(cols_);
-  ParallelFor(
-      0, cols_,
-      [&](size_t j) {
-        double sum_lo = 0.0;
-        double sum_hi = 0.0;
-        for (size_t t = 0; t < partials_lo.size(); ++t) {
-          sum_lo += partials_lo[t][j];
-          sum_hi += partials_hi[t][j];
-        }
-        y_lo[j] = sum_lo;
-        y_hi[j] = sum_hi;
-      },
-      /*max_threads=*/0, /*min_items_per_thread=*/4096);
-}
-
-Matrix SparseIntervalMatrix::MultiplyDense(Endpoint e, const Matrix& b) const {
-  IVMF_CHECK_MSG(b.rows() == cols_, "sparse x dense dimension mismatch");
-  // Guard the degenerate operand before touching storage: a zero-column B
-  // has no data, so the kernels must not be handed its (null) base pointer.
-  if (b.cols() == 0 || rows_ == 0) return Matrix(rows_, b.cols());
-  // SELL stores matvec-shaped kernels only; dense products use the
-  // dispatched CSR variant (vectorized across the dense columns).
-  const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
-  static VariantCounters counters("multiply_dense");
-  counters.For(backend).Count(rows_, nnz());
-  const std::vector<double>& v = values(e);
-  const spk::CsrView view = View();
-  Matrix c(rows_, b.cols());
-  ForRowBlocks(rows_, 64, [&](size_t begin, size_t end) {
-    if (backend == spk::Backend::kAvx2) {
-      spk::MatDenseAvx2(view, v.data(), b.data(), b.cols(), c.data(), begin,
-                        end);
-    } else {
-      spk::MatDenseScalar(view, v.data(), b.data(), b.cols(), c.data(), begin,
-                          end);
-    }
-  });
-  return c;
-}
-
-IntervalMatrix SparseIntervalMatrix::IntervalMultiplyDense(
-    const Matrix& b) const {
-  IVMF_CHECK_MSG(b.rows() == cols_, "sparse x dense dimension mismatch");
-  // Same construction as the dense IntervalMatMul(A†, scalar B): elementwise
-  // min / max over the two full endpoint products — computed fused, one
-  // pattern pass feeding both endpoint accumulations.
-  Matrix p_lo(rows_, b.cols());
-  Matrix p_hi(rows_, b.cols());
-  if (b.cols() > 0 && rows_ > 0) {
-    const spk::Backend backend = spk::CsrVariant(ResolvedKernel());
-    static VariantCounters counters("multiply_dense_both");
-    counters.For(backend).Count(rows_, nnz());
-    const spk::CsrView view = View();
-    ForRowBlocks(rows_, 64, [&](size_t begin, size_t end) {
-      if (backend == spk::Backend::kAvx2) {
-        spk::MatDenseBothAvx2(view, lo_.data(), hi_.data(), b.data(),
-                              b.cols(), p_lo.data(), p_hi.data(), begin, end);
-      } else {
-        spk::MatDenseBothScalar(view, lo_.data(), hi_.data(), b.data(),
-                                b.cols(), p_lo.data(), p_hi.data(), begin,
-                                end);
-      }
-    });
-  }
-  Matrix lo(p_lo.rows(), p_lo.cols());
-  Matrix hi(p_lo.rows(), p_lo.cols());
-  for (size_t i = 0; i < lo.rows(); ++i) {
-    for (size_t j = 0; j < lo.cols(); ++j) {
-      lo(i, j) = std::min(p_lo(i, j), p_hi(i, j));
-      hi(i, j) = std::max(p_lo(i, j), p_hi(i, j));
-    }
-  }
-  return IntervalMatrix(std::move(lo), std::move(hi));
-}
-
-std::vector<double> SparseIntervalMatrix::RowNorms(Endpoint e) const {
-  const std::vector<double>& v = values(e);
-  std::vector<double> norms(rows_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    double sum = 0.0;
-    for (size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) sum += v[k] * v[k];
-    norms[i] = std::sqrt(sum);
-  }
-  return norms;
-}
-
-std::vector<double> SparseIntervalMatrix::ColNorms(Endpoint e) const {
-  const std::vector<double>& v = values(e);
-  std::vector<double> sums(cols_, 0.0);
-  for (size_t k = 0; k < col_idx_.size(); ++k) {
-    sums[col_idx_[k]] += v[k] * v[k];
-  }
-  for (double& s : sums) s = std::sqrt(s);
-  return sums;
+  ShardedSparseIntervalMatrix::BorrowedView(*this).Multiply(e, x, y);
 }
 
 }  // namespace ivmf

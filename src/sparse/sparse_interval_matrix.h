@@ -4,10 +4,12 @@
 // rating matrices that are ~85% empty; the dense IntervalMatrix pair wastes
 // both memory and flops there. SparseIntervalMatrix stores one compressed
 // sparsity pattern shared by the two endpoint value arrays — structurally
-// a CSR matrix whose values are [lo, hi] pairs — plus the endpoint kernels
-// (sparse x vector, sparse x dense, row/column norms) the matrix-free ISVD
-// path is built from. All absent entries are the scalar zero interval
-// [0, 0], exactly like the unobserved cells of the dense constructions.
+// a CSR matrix whose values are [lo, hi] pairs. It is the container:
+// construction, lookup, transpose and raw arrays. The kernels the
+// matrix-free ISVD path is built from live on the block-row store
+// (sparse/block_matrix.h), which runs them on a zero-copy view of this
+// matrix. All absent entries are the scalar zero interval [0, 0], exactly
+// like the unobserved cells of the dense constructions.
 
 #ifndef IVMF_SPARSE_SPARSE_INTERVAL_MATRIX_H_
 #define IVMF_SPARSE_SPARSE_INTERVAL_MATRIX_H_
@@ -21,7 +23,6 @@
 #include "interval/interval.h"
 #include "interval/interval_matrix.h"
 #include "linalg/matrix.h"
-#include "sparse/sell_matrix.h"
 #include "sparse/sparse_kernels.h"
 
 namespace ivmf {
@@ -115,111 +116,23 @@ class SparseIntervalMatrix {
   bool IsNonNegative(double tol = 0.0) const;
 
   // -- Kernel backend selection ----------------------------------------------
-  // Every kernel below dispatches through one of the backends in
-  // sparse_kernels.h: the scalar reference loops, AVX2 register-blocked CSR
-  // rows (runtime cpuid, portable fallback), or a SELL-C-4 padded layout
-  // built lazily as an immutable sidecar the first time a SELL kernel runs
-  // (kernels the SELL layout does not cover — transpose, dense, pair — use
-  // the dispatched CSR variant). The default kAuto defers to the
-  // IVMF_SPARSE_KERNEL environment variable (scalar|avx2|sell|auto), then
-  // to cpuid, so call sites never change: Lanczos eig/SVD, StreamingIsvd,
-  // and the serving refresh path all pick the backend up through here.
-  // Transpose() propagates the selection; the obs matvec counters tag each
-  // call with the variant that actually ran.
-  //
-  // When both the per-matrix request and IVMF_SPARSE_KERNEL are kAuto, the
-  // matrix refines the choice from its own row-length statistics
-  // (spk::ChooseAutoBackend): short-row / irregular patterns get the SELL
-  // layout, long-row CF shapes keep packed CSR. The statistics pass is
-  // O(rows), runs once, and is cached alongside the SELL/packed sidecars.
+  // A block-row view of this matrix (sparse/block_matrix.h) runs its
+  // kernels on the backend requested here: kAuto (the default) is AVX2 when
+  // the CPU has it and scalar otherwise (sparse_kernels.h). Transpose()
+  // propagates the selection.
 
   void set_kernel(spk::Backend backend) { kernel_ = backend; }
   spk::Backend kernel() const { return kernel_; }
 
-  // The backend request after per-matrix auto-refinement: kernel() itself
-  // unless that is kAuto with no environment override, in which case the
-  // row-statistics choice (a concrete backend). Every kernel below
-  // dispatches on spk::Resolve / spk::CsrVariant of this.
-  spk::Backend ResolvedKernel() const;
+  // The backend the kernels run: spk::Resolve(kernel()), never kAuto.
+  spk::Backend ResolvedKernel() const { return spk::Resolve(kernel_); }
 
-  // -- Kernels ---------------------------------------------------------------
-  // All kernels are deterministic for a fixed machine and backend.
-  // Row-partitioned kernels (Multiply, MultiplyDense, MultiplyMid,
-  // MultiplyBoth, MultiplyPair) compute every output entry from exactly the
-  // serial loop's terms — vectorized variants reassociate within a row by a
-  // fixed lane blocking, so they agree with the scalar reference to
-  // roundoff and are bit-stable across calls. MultiplyTranspose reduces
-  // per-thread partial accumulators, so its summation order differs from the
-  // serial scatter by a fixed blocking (bit-stable across calls, equal to
-  // the serial result up to roundoff).
-  //
-  // Aliasing contract (checked): output vectors may not alias input vectors
-  // or each other — the kernels stream inputs while writing outputs in
-  // blocked order, so in-place calls would read half-written data. Inputs
-  // must be finite (SELL padding multiplies 0 by x[0]; an Inf/NaN there
-  // would poison a padded lane).
-
-  // y = A_e x (y resized to rows()). Parallelized over rows.
+  // y = A_e x (y resized to rows()), through a borrowed block-row view: the
+  // same kernel and row partition every sparse ISVD runs, so the result is
+  // bit-identical to the view's Multiply. y must not alias x. The first
+  // call builds the packed column-index sidecar that views read.
   void Multiply(Endpoint e, const std::vector<double>& x,
                 std::vector<double>& y) const;
-
-  // y_lo = A_* x and y_hi = A^* x fused over the shared pattern in one
-  // pass (one gather feeds both endpoint accumulators); y_lo/y_hi resized
-  // to rows(). The fused endpoint path under IntervalMultiplyDense.
-  void MultiplyBoth(const std::vector<double>& x, std::vector<double>& y_lo,
-                    std::vector<double>& y_hi) const;
-
-  // y_lo = A_* x_lo and y_hi = A^* x_hi in one pattern pass — on a
-  // transpose, the second stage of a two-pass both-endpoint Gram, where
-  // each endpoint chain carries its own vector. Outputs resized to rows().
-  void MultiplyPair(const std::vector<double>& x_lo,
-                    const std::vector<double>& x_hi,
-                    std::vector<double>& y_lo,
-                    std::vector<double>& y_hi) const;
-
-  // y = ((A_* + A^*) / 2) x — the midpoint-matrix action fused over the
-  // shared pattern (y resized to rows()). Parallelized over rows. Backs the
-  // matrix-free sparse ISVD0, which decomposes the midpoint matrix without
-  // materializing it.
-  void MultiplyMid(const std::vector<double>& x, std::vector<double>& y) const;
-
-  // y = A_eᵀ x (y resized to cols()). Parallelized with per-thread partial
-  // accumulators over row blocks followed by a column-parallel reduction;
-  // iterative solvers that apply the transpose many times may still prefer
-  // holding a Transpose() and calling Multiply on it (streaming reads beat
-  // the scatter).
-  void MultiplyTranspose(Endpoint e, const std::vector<double>& x,
-                         std::vector<double>& y) const;
-
-  // C = A_e * B for dense B (cols() x k). Parallelized over rows. A
-  // zero-column B yields a rows() x 0 result without touching any storage.
-  Matrix MultiplyDense(Endpoint e, const Matrix& b) const;
-
-  // C† = A† * B for a dense scalar B, matching the dense mixed-operand
-  // IntervalMatMul exactly: C_lo / C_hi are the elementwise min / max of the
-  // two full endpoint products A_* B and A^* B.
-  IntervalMatrix IntervalMultiplyDense(const Matrix& b) const;
-
-  // y = A_eᵀ (A_e x) in a single pass over the pattern (y resized to
-  // cols()): each row's dot against x and its scaled scatter into y share
-  // the row data while it is cache-hot, halving memory traffic versus the
-  // Multiply + MultiplyTranspose composition. Same value as that
-  // composition up to roundoff (summation into y is grouped by row, and
-  // per-thread partials reduce like MultiplyTranspose); bit-stable across
-  // calls.
-  void GramMultiply(Endpoint e, const std::vector<double>& x,
-                    std::vector<double>& y) const;
-
-  // y_lo = A_*ᵀ(A_* x) and y_hi = A^*ᵀ(A^* x) fused over the shared
-  // pattern in one pass — the one-pass form of MultiplyBoth + MultiplyPair.
-  // Outputs resized to cols().
-  void GramMultiplyBoth(const std::vector<double>& x,
-                        std::vector<double>& y_lo,
-                        std::vector<double>& y_hi) const;
-
-  // Euclidean norms of the rows / columns of the endpoint matrix A_e.
-  std::vector<double> RowNorms(Endpoint e) const;
-  std::vector<double> ColNorms(Endpoint e) const;
 
   // -- Raw CSR access (pattern shared by both endpoint arrays) ---------------
 
@@ -236,35 +149,15 @@ class SparseIntervalMatrix {
   // matrix's CSR arrays and packed sidecar (sparse/block_matrix.h).
   friend class ShardedSparseIntervalMatrix;
 
-  // Lazily-built SELL sidecar, shared by copies (the padded pack depends
-  // only on the immutable CSR arrays, which copies share by value).
-  struct SellSlot {
-    std::once_flag once;
-    std::unique_ptr<const SellPack> pack;
-  };
-
-  // Cached row-statistics auto-selection (ResolvedKernel), shared by copies
-  // like the sidecars: the statistics depend only on the immutable pattern.
-  struct AutoSlot {
-    std::once_flag once;
-    spk::Backend backend = spk::Backend::kAuto;
-  };
-
-  // Lazily-built narrow column-index sidecar for the AVX2 kernels: u16 when
-  // cols() fits (the common CF shape), u32 otherwise. Exactly one of the
-  // two vectors is populated. Shared by copies like the SELL pack.
+  // Lazily-built narrow column-index sidecar, the column stream every view
+  // kernel reads: u16 when cols() fits (the common CF shape), u32 otherwise. Exactly one of the
+  // two vectors is populated. Shared by copies: it depends only on the
+  // immutable CSR arrays, which copies share by value.
   struct PackedSlot {
     std::once_flag once;
     std::vector<uint16_t> col16;
     std::vector<uint32_t> col32;
   };
-
-  // The CSR view over this matrix's arrays, for the spk kernels.
-  spk::CsrView View() const {
-    return {rows_, cols_, row_ptr_.data(), col_idx_.data()};
-  }
-
-  const SellPack& EnsureSell() const;
 
   // The packed view over this matrix's arrays (builds the sidecar on first
   // use).
@@ -277,9 +170,7 @@ class SparseIntervalMatrix {
   std::vector<double> lo_;       // nnz lower endpoints
   std::vector<double> hi_;       // nnz upper endpoints
   spk::Backend kernel_ = spk::Backend::kAuto;
-  mutable std::shared_ptr<SellSlot> sell_ = std::make_shared<SellSlot>();
   mutable std::shared_ptr<PackedSlot> packed_ = std::make_shared<PackedSlot>();
-  mutable std::shared_ptr<AutoSlot> auto_ = std::make_shared<AutoSlot>();
 };
 
 }  // namespace ivmf

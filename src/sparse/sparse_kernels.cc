@@ -1,11 +1,5 @@
 #include "sparse/sparse_kernels.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
-#include "obs/log.h"
-
 namespace ivmf::spk {
 
 // -- Backend selection -------------------------------------------------------
@@ -33,8 +27,6 @@ bool ParseBackend(std::string_view name, Backend* out) {
     *out = Backend::kScalar;
   } else if (name == "avx2") {
     *out = Backend::kAvx2;
-  } else if (name == "sell") {
-    *out = Backend::kSell;
   } else if (name == "auto") {
     *out = Backend::kAuto;
   } else {
@@ -51,269 +43,21 @@ const char* BackendName(Backend backend) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kSell:
-      return "sell";
   }
   return "unknown";
 }
 
-Backend EnvBackend() {
-  static const Backend env = [] {
-    const char* value = std::getenv("IVMF_SPARSE_KERNEL");
-    if (value == nullptr || value[0] == '\0') return Backend::kAuto;
-    Backend parsed = Backend::kAuto;
-    if (!ParseBackend(value, &parsed)) {
-      obs::LogWarn("sparse", "unknown IVMF_SPARSE_KERNEL value; using auto",
-                   {{"value", value}, {"want", "scalar|avx2|sell|auto"}});
-    }
-    return parsed;
-  }();
-  return env;
-}
-
 Backend Resolve(Backend request) {
-  if (request == Backend::kAuto) request = EnvBackend();
-  switch (request) {
-    case Backend::kScalar:
-      return Backend::kScalar;
-    case Backend::kSell:
-      return Backend::kSell;
-    case Backend::kAuto:
-    case Backend::kAvx2:
-      return Avx2Supported() ? Backend::kAvx2 : Backend::kScalar;
-  }
-  return Backend::kScalar;
-}
-
-Backend CsrVariant(Backend backend) {
-  const Backend resolved = Resolve(backend);
-  if (resolved == Backend::kSell) {
-    return Avx2Supported() ? Backend::kAvx2 : Backend::kScalar;
-  }
-  return resolved;
-}
-
-Backend ChooseAutoBackend(double mean_row_nnz, double cv,
-                          bool avx2_supported) {
-  if (!avx2_supported) return Backend::kScalar;
-  if (mean_row_nnz < kSellMeanRowThreshold) return Backend::kSell;
-  if (mean_row_nnz < kSellIrregularMeanRowThreshold &&
-      cv > kSellIrregularCvThreshold) {
-    return Backend::kSell;
-  }
-  return Backend::kAvx2;
-}
-
-// -- CSR reference kernels ---------------------------------------------------
-
-void MatVecScalar(const CsrView& a, const double* v, const double* x,
-                  double* y, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      sum += v[k] * x[a.col_idx[k]];
-    }
-    y[i] = sum;
-  }
-}
-
-void MatVecMidScalar(const CsrView& a, const double* lo, const double* hi,
-                     const double* x, double* y, size_t row_begin,
-                     size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      sum += 0.5 * (lo[k] + hi[k]) * x[a.col_idx[k]];
-    }
-    y[i] = sum;
-  }
-}
-
-void MatVecBothScalar(const CsrView& a, const double* lo, const double* hi,
-                      const double* x, double* y_lo, double* y_hi,
-                      size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum_lo = 0.0;
-    double sum_hi = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const double xk = x[a.col_idx[k]];
-      sum_lo += lo[k] * xk;
-      sum_hi += hi[k] * xk;
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-void MatVecPairScalar(const CsrView& a, const double* lo, const double* hi,
-                      const double* x_lo, const double* x_hi, double* y_lo,
-                      double* y_hi, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum_lo = 0.0;
-    double sum_hi = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const size_t j = a.col_idx[k];
-      sum_lo += lo[k] * x_lo[j];
-      sum_hi += hi[k] * x_hi[j];
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-void MatVecTScalar(const CsrView& a, const double* v, const double* x,
-                   double* y, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      y[a.col_idx[k]] += v[k] * xi;
-    }
-  }
-}
-
-void MatDenseScalar(const CsrView& a, const double* v, const double* b,
-                    size_t bcols, double* c, size_t row_begin,
-                    size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double* out = c + i * bcols;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const double* brow = b + a.col_idx[k] * bcols;
-      const double value = v[k];
-      for (size_t j = 0; j < bcols; ++j) out[j] += value * brow[j];
-    }
-  }
-}
-
-void MatDenseBothScalar(const CsrView& a, const double* lo, const double* hi,
-                        const double* b, size_t bcols, double* c_lo,
-                        double* c_hi, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double* out_lo = c_lo + i * bcols;
-    double* out_hi = c_hi + i * bcols;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const double* brow = b + a.col_idx[k] * bcols;
-      const double vlo = lo[k];
-      const double vhi = hi[k];
-      for (size_t j = 0; j < bcols; ++j) {
-        out_lo[j] += vlo * brow[j];
-        out_hi[j] += vhi * brow[j];
-      }
-    }
-  }
-}
-
-// -- Fused Gram reference kernels --------------------------------------------
-//
-// One pass over the pattern per Gram apply: the row dot and the scaled
-// scatter share the cached row data. The scalar form is the differential
-// reference for the packed AVX2 kernels and the portable fallback for
-// direct calls on no-AVX2 builds.
-
-void GramFusedScalar(const CsrView& a, const double* v, const double* x,
-                     double* y, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t begin = a.row_ptr[i];
-    const size_t end = a.row_ptr[i + 1];
-    double s = 0.0;
-    for (size_t k = begin; k < end; ++k) s += v[k] * x[a.col_idx[k]];
-    if (s == 0.0) continue;
-    for (size_t k = begin; k < end; ++k) y[a.col_idx[k]] += s * v[k];
-  }
-}
-
-void GramFusedBothScalar(const CsrView& a, const double* lo, const double* hi,
-                         const double* x, double* y_lo, double* y_hi,
-                         size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t begin = a.row_ptr[i];
-    const size_t end = a.row_ptr[i + 1];
-    double s_lo = 0.0;
-    double s_hi = 0.0;
-    for (size_t k = begin; k < end; ++k) {
-      const double xk = x[a.col_idx[k]];
-      s_lo += lo[k] * xk;
-      s_hi += hi[k] * xk;
-    }
-    if (s_lo == 0.0 && s_hi == 0.0) continue;
-    for (size_t k = begin; k < end; ++k) {
-      y_lo[a.col_idx[k]] += s_lo * lo[k];
-      y_hi[a.col_idx[k]] += s_hi * hi[k];
-    }
-  }
-}
-
-// -- SELL reference (blocked-scalar) kernels ---------------------------------
-//
-// The portable fallback keeps the SELL blocking: four lane accumulators per
-// chunk, vertical adds across slices. This is what a no-AVX2 build (or CPU)
-// runs when the SELL backend is selected.
-
-void SellMatVecScalar(const SellView& s, const double* v, const double* x,
-                      double* y, size_t chunk_begin, size_t chunk_end) {
-  for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    double acc[kSellC] = {0.0, 0.0, 0.0, 0.0};
-    for (size_t k = s.chunk_ptr[c]; k < s.chunk_ptr[c + 1]; k += kSellC) {
-      for (size_t l = 0; l < kSellC; ++l) {
-        acc[l] += v[k + l] * x[s.col[k + l]];
-      }
-    }
-    const size_t* perm = s.perm + kSellC * c;
-    for (size_t l = 0; l < kSellC; ++l) {
-      if (perm[l] != kSellPadRow) y[perm[l]] = acc[l];
-    }
-  }
-}
-
-void SellMatVecMidScalar(const SellView& s, const double* lo,
-                         const double* hi, const double* x, double* y,
-                         size_t chunk_begin, size_t chunk_end) {
-  for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    double acc[kSellC] = {0.0, 0.0, 0.0, 0.0};
-    for (size_t k = s.chunk_ptr[c]; k < s.chunk_ptr[c + 1]; k += kSellC) {
-      for (size_t l = 0; l < kSellC; ++l) {
-        acc[l] += 0.5 * (lo[k + l] + hi[k + l]) * x[s.col[k + l]];
-      }
-    }
-    const size_t* perm = s.perm + kSellC * c;
-    for (size_t l = 0; l < kSellC; ++l) {
-      if (perm[l] != kSellPadRow) y[perm[l]] = acc[l];
-    }
-  }
-}
-
-void SellMatVecBothScalar(const SellView& s, const double* lo,
-                          const double* hi, const double* x, double* y_lo,
-                          double* y_hi, size_t chunk_begin,
-                          size_t chunk_end) {
-  for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    double acc_lo[kSellC] = {0.0, 0.0, 0.0, 0.0};
-    double acc_hi[kSellC] = {0.0, 0.0, 0.0, 0.0};
-    for (size_t k = s.chunk_ptr[c]; k < s.chunk_ptr[c + 1]; k += kSellC) {
-      for (size_t l = 0; l < kSellC; ++l) {
-        const double xk = x[s.col[k + l]];
-        acc_lo[l] += lo[k + l] * xk;
-        acc_hi[l] += hi[k + l] * xk;
-      }
-    }
-    const size_t* perm = s.perm + kSellC * c;
-    for (size_t l = 0; l < kSellC; ++l) {
-      if (perm[l] != kSellPadRow) {
-        y_lo[perm[l]] = acc_lo[l];
-        y_hi[perm[l]] = acc_hi[l];
-      }
-    }
-  }
+  if (request == Backend::kScalar) return Backend::kScalar;
+  return Avx2Supported() ? Backend::kAvx2 : Backend::kScalar;
 }
 
 // -- Packed-index scalar kernels ---------------------------------------------
 //
 // One templated body per kernel, instantiated for the u16 and u32 sidecars.
-// Per-row association is identical to the size_t-index scalar loops, so a
-// caller that switches index width gets bit-identical results. Always
-// compiled: sharded segments carry only packed indices, so these are the
-// scalar reference for shard dispatch on every build, and the no-AVX2
-// *PackedAvx2 stubs below forward here.
+// Each output entry sums its row's terms left to right, whatever the index
+// width. Always compiled: these are the scalar backend on every build, and
+// the no-AVX2 *PackedAvx2 stubs below forward here.
 
 namespace {
 
@@ -340,42 +84,6 @@ void PackedMatVecMid(const PackedCsrView& a, const IdxT* idx, const double* lo,
       sum += 0.5 * (lo[k] + hi[k]) * x[idx[k]];
     }
     y[i] = sum;
-  }
-}
-
-template <typename IdxT>
-void PackedMatVecBoth(const PackedCsrView& a, const IdxT* idx,
-                      const double* lo, const double* hi, const double* x,
-                      double* y_lo, double* y_hi, size_t row_begin,
-                      size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum_lo = 0.0;
-    double sum_hi = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const double xk = x[idx[k]];
-      sum_lo += lo[k] * xk;
-      sum_hi += hi[k] * xk;
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-template <typename IdxT>
-void PackedMatVecPair(const PackedCsrView& a, const IdxT* idx,
-                      const double* lo, const double* hi, const double* x_lo,
-                      const double* x_hi, double* y_lo, double* y_hi,
-                      size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double sum_lo = 0.0;
-    double sum_hi = 0.0;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const size_t j = idx[k];
-      sum_lo += lo[k] * x_lo[j];
-      sum_hi += hi[k] * x_hi[j];
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
   }
 }
 
@@ -473,29 +181,6 @@ void PackedGramFused(const PackedCsrView& a, const IdxT* idx, const double* v,
   }
 }
 
-template <typename IdxT>
-void PackedGramFusedBoth(const PackedCsrView& a, const IdxT* idx,
-                         const double* lo, const double* hi, const double* x,
-                         double* y_lo, double* y_hi, size_t row_begin,
-                         size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t begin = a.row_ptr[i];
-    const size_t end = a.row_ptr[i + 1];
-    double s_lo = 0.0;
-    double s_hi = 0.0;
-    for (size_t k = begin; k < end; ++k) {
-      const double xk = x[idx[k]];
-      s_lo += lo[k] * xk;
-      s_hi += hi[k] * xk;
-    }
-    if (s_lo == 0.0 && s_hi == 0.0) continue;
-    for (size_t k = begin; k < end; ++k) {
-      y_lo[idx[k]] += s_lo * lo[k];
-      y_hi[idx[k]] += s_hi * hi[k];
-    }
-  }
-}
-
 }  // namespace
 
 void MatVecPackedScalar(const PackedCsrView& a, const double* v,
@@ -515,29 +200,6 @@ void MatVecMidPackedScalar(const PackedCsrView& a, const double* lo,
     PackedMatVecMid(a, a.col16, lo, hi, x, y, row_begin, row_end);
   } else {
     PackedMatVecMid(a, a.col32, lo, hi, x, y, row_begin, row_end);
-  }
-}
-
-void MatVecBothPackedScalar(const PackedCsrView& a, const double* lo,
-                            const double* hi, const double* x, double* y_lo,
-                            double* y_hi, size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    PackedMatVecBoth(a, a.col16, lo, hi, x, y_lo, y_hi, row_begin, row_end);
-  } else {
-    PackedMatVecBoth(a, a.col32, lo, hi, x, y_lo, y_hi, row_begin, row_end);
-  }
-}
-
-void MatVecPairPackedScalar(const PackedCsrView& a, const double* lo,
-                            const double* hi, const double* x_lo,
-                            const double* x_hi, double* y_lo, double* y_hi,
-                            size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    PackedMatVecPair(a, a.col16, lo, hi, x_lo, x_hi, y_lo, y_hi, row_begin,
-                     row_end);
-  } else {
-    PackedMatVecPair(a, a.col32, lo, hi, x_lo, x_hi, y_lo, y_hi, row_begin,
-                     row_end);
   }
 }
 
@@ -607,84 +269,14 @@ void GramFusedPackedScalar(const PackedCsrView& a, const double* v,
   }
 }
 
-void GramFusedBothPackedScalar(const PackedCsrView& a, const double* lo,
-                               const double* hi, const double* x,
-                               double* y_lo, double* y_hi, size_t row_begin,
-                               size_t row_end) {
-  if (a.col16 != nullptr) {
-    PackedGramFusedBoth(a, a.col16, lo, hi, x, y_lo, y_hi, row_begin,
-                        row_end);
-  } else {
-    PackedGramFusedBoth(a, a.col32, lo, hi, x, y_lo, y_hi, row_begin,
-                        row_end);
-  }
-}
-
 // -- AVX2 forwarding stubs ---------------------------------------------------
 //
 // Without the AVX2 translation unit (non-x86 target or
 // -DIVMF_DISABLE_AVX2=ON) the *Avx2 symbols still exist so call sites need
-// no #ifdefs; Resolve() never selects them, but direct calls (the
-// differential tests exercise every declared variant) behave as the
+// no #ifdefs; Resolve() never selects them, but direct calls behave as the
 // reference.
 
 #ifndef IVMF_HAVE_AVX2
-
-void MatVecAvx2(const CsrView& a, const double* v, const double* x, double* y,
-                size_t row_begin, size_t row_end) {
-  MatVecScalar(a, v, x, y, row_begin, row_end);
-}
-
-void MatVecMidAvx2(const CsrView& a, const double* lo, const double* hi,
-                   const double* x, double* y, size_t row_begin,
-                   size_t row_end) {
-  MatVecMidScalar(a, lo, hi, x, y, row_begin, row_end);
-}
-
-void MatVecBothAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x, double* y_lo, double* y_hi,
-                    size_t row_begin, size_t row_end) {
-  MatVecBothScalar(a, lo, hi, x, y_lo, y_hi, row_begin, row_end);
-}
-
-void MatVecPairAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x_lo, const double* x_hi, double* y_lo,
-                    double* y_hi, size_t row_begin, size_t row_end) {
-  MatVecPairScalar(a, lo, hi, x_lo, x_hi, y_lo, y_hi, row_begin, row_end);
-}
-
-void MatVecTAvx2(const CsrView& a, const double* v, const double* x,
-                 double* y, size_t row_begin, size_t row_end) {
-  MatVecTScalar(a, v, x, y, row_begin, row_end);
-}
-
-void MatDenseAvx2(const CsrView& a, const double* v, const double* b,
-                  size_t bcols, double* c, size_t row_begin, size_t row_end) {
-  MatDenseScalar(a, v, b, bcols, c, row_begin, row_end);
-}
-
-void MatDenseBothAvx2(const CsrView& a, const double* lo, const double* hi,
-                      const double* b, size_t bcols, double* c_lo,
-                      double* c_hi, size_t row_begin, size_t row_end) {
-  MatDenseBothScalar(a, lo, hi, b, bcols, c_lo, c_hi, row_begin, row_end);
-}
-
-void SellMatVecAvx2(const SellView& s, const double* v, const double* x,
-                    double* y, size_t chunk_begin, size_t chunk_end) {
-  SellMatVecScalar(s, v, x, y, chunk_begin, chunk_end);
-}
-
-void SellMatVecMidAvx2(const SellView& s, const double* lo, const double* hi,
-                       const double* x, double* y, size_t chunk_begin,
-                       size_t chunk_end) {
-  SellMatVecMidScalar(s, lo, hi, x, y, chunk_begin, chunk_end);
-}
-
-void SellMatVecBothAvx2(const SellView& s, const double* lo, const double* hi,
-                        const double* x, double* y_lo, double* y_hi,
-                        size_t chunk_begin, size_t chunk_end) {
-  SellMatVecBothScalar(s, lo, hi, x, y_lo, y_hi, chunk_begin, chunk_end);
-}
 
 void MatVecPackedAvx2(const PackedCsrView& a, const double* v,
                       const double* x, double* y, size_t row_begin,
@@ -698,30 +290,10 @@ void MatVecMidPackedAvx2(const PackedCsrView& a, const double* lo,
   MatVecMidPackedScalar(a, lo, hi, x, y, row_begin, row_end);
 }
 
-void MatVecBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x, double* y_lo,
-                          double* y_hi, size_t row_begin, size_t row_end) {
-  MatVecBothPackedScalar(a, lo, hi, x, y_lo, y_hi, row_begin, row_end);
-}
-
-void MatVecPairPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x_lo,
-                          const double* x_hi, double* y_lo, double* y_hi,
-                          size_t row_begin, size_t row_end) {
-  MatVecPairPackedScalar(a, lo, hi, x_lo, x_hi, y_lo, y_hi, row_begin,
-                         row_end);
-}
-
 void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
                          const double* x, double* y, size_t row_begin,
                          size_t row_end) {
   GramFusedPackedScalar(a, v, x, y, row_begin, row_end);
-}
-
-void GramFusedBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                             const double* hi, const double* x, double* y_lo,
-                             double* y_hi, size_t row_begin, size_t row_end) {
-  GramFusedBothPackedScalar(a, lo, hi, x, y_lo, y_hi, row_begin, row_end);
 }
 
 #endif  // !IVMF_HAVE_AVX2

@@ -1,4 +1,4 @@
-// AVX2 definitions of the sparse kernels (see sparse_kernels.h).
+// AVX2 definitions of the packed-CSR sparse kernels (see sparse_kernels.h).
 //
 // This is the only translation unit compiled with -mavx2 -mfma; everything
 // here is reached exclusively through spk::Resolve()/Avx2Supported(), i.e.
@@ -7,13 +7,12 @@
 // file compiles to nothing and sparse_kernels.cc provides scalar-forwarding
 // definitions instead.
 //
-// Layout of the row kernels: two (or four, for the cheap single-stream
-// matvec) independent 4-lane FMA accumulators per row hide the FMA latency
-// the scalar loop's single `sum` chain serializes on; the dense operand is
-// fetched with 64-bit index gathers (the CSR column array is size_t).
-// Remainder entries (< 4 per row, plus the odd block) run scalar. Each
-// output entry sums exactly the same terms as the reference kernel, just in
-// blocked association order.
+// Layout of the row kernels: two or four independent 4-lane FMA
+// accumulators per row hide the FMA latency the scalar loop's single `sum`
+// chain serializes on; the dense operand is fetched with 32-bit index
+// gathers over the packed column stream. Remainder entries (< 4 per row)
+// run scalar. Each output entry sums exactly the same terms as the
+// reference kernel, just in blocked association order.
 
 #ifdef IVMF_HAVE_AVX2
 
@@ -33,189 +32,25 @@ inline double HSum(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(sum2, swap));
 }
 
-inline __m256i LoadIdx(const size_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+// x[idx[l]] for the four 32-bit lanes of idx. The masked form with a zero
+// source and an all-ones mask is the same vgatherdpd as
+// _mm256_i32gather_pd, whose GCC expansion passes an undefined source
+// register and trips -Wmaybe-uninitialized under -Werror.
+inline __m256d Gather(const double* x, __m128i idx) {
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x, idx,
+                                  _mm256_castsi256_pd(_mm256_set1_epi64x(-1)),
+                                  8);
 }
 
-}  // namespace
-
-void MatVecAvx2(const CsrView& a, const double* v, const double* x, double* y,
-                size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    for (; k + 8 <= end; k += 8) {
-      const __m256d x0 = _mm256_i64gather_pd(x, LoadIdx(a.col_idx + k), 8);
-      const __m256d x1 = _mm256_i64gather_pd(x, LoadIdx(a.col_idx + k + 4), 8);
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(v + k), x0, acc0);
-      acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(v + k + 4), x1, acc1);
-    }
-    if (k + 4 <= end) {
-      const __m256d x0 = _mm256_i64gather_pd(x, LoadIdx(a.col_idx + k), 8);
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(v + k), x0, acc0);
-      k += 4;
-    }
-    double sum = HSum(_mm256_add_pd(acc0, acc1));
-    for (; k < end; ++k) sum += v[k] * x[a.col_idx[k]];
-    y[i] = sum;
-  }
-}
-
-void MatVecMidAvx2(const CsrView& a, const double* lo, const double* hi,
-                   const double* x, double* y, size_t row_begin,
-                   size_t row_end) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d acc = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      const __m256d mid = _mm256_mul_pd(
-          half, _mm256_add_pd(_mm256_loadu_pd(lo + k), _mm256_loadu_pd(hi + k)));
-      const __m256d xv = _mm256_i64gather_pd(x, LoadIdx(a.col_idx + k), 8);
-      acc = _mm256_fmadd_pd(mid, xv, acc);
-    }
-    double sum = HSum(acc);
-    for (; k < end; ++k) sum += 0.5 * (lo[k] + hi[k]) * x[a.col_idx[k]];
-    y[i] = sum;
-  }
-}
-
-void MatVecBothAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x, double* y_lo, double* y_hi,
-                    size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      const __m256d xv = _mm256_i64gather_pd(x, LoadIdx(a.col_idx + k), 8);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), xv, acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), xv, acc_hi);
-    }
-    double sum_lo = HSum(acc_lo);
-    double sum_hi = HSum(acc_hi);
-    for (; k < end; ++k) {
-      const double xk = x[a.col_idx[k]];
-      sum_lo += lo[k] * xk;
-      sum_hi += hi[k] * xk;
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-void MatVecPairAvx2(const CsrView& a, const double* lo, const double* hi,
-                    const double* x_lo, const double* x_hi, double* y_lo,
-                    double* y_hi, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      const __m256i idx = LoadIdx(a.col_idx + k);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k),
-                               _mm256_i64gather_pd(x_lo, idx, 8), acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k),
-                               _mm256_i64gather_pd(x_hi, idx, 8), acc_hi);
-    }
-    double sum_lo = HSum(acc_lo);
-    double sum_hi = HSum(acc_hi);
-    for (; k < end; ++k) {
-      const size_t j = a.col_idx[k];
-      sum_lo += lo[k] * x_lo[j];
-      sum_hi += hi[k] * x_hi[j];
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-void MatVecTAvx2(const CsrView& a, const double* v, const double* x,
-                 double* y, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    const __m256d xv = _mm256_set1_pd(xi);
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    // No scatter in AVX2: vectorize the multiply, store lanes individually.
-    // Columns are unique within a row, so the four stores never collide.
-    for (; k + 4 <= end; k += 4) {
-      alignas(32) double prod[4];
-      _mm256_store_pd(prod, _mm256_mul_pd(_mm256_loadu_pd(v + k), xv));
-      y[a.col_idx[k]] += prod[0];
-      y[a.col_idx[k + 1]] += prod[1];
-      y[a.col_idx[k + 2]] += prod[2];
-      y[a.col_idx[k + 3]] += prod[3];
-    }
-    for (; k < end; ++k) y[a.col_idx[k]] += v[k] * xi;
-  }
-}
-
-void MatDenseAvx2(const CsrView& a, const double* v, const double* b,
-                  size_t bcols, double* c, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double* out = c + i * bcols;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const double* brow = b + a.col_idx[k] * bcols;
-      const __m256d vv = _mm256_set1_pd(v[k]);
-      size_t j = 0;
-      for (; j + 4 <= bcols; j += 4) {
-        _mm256_storeu_pd(out + j,
-                         _mm256_fmadd_pd(vv, _mm256_loadu_pd(brow + j),
-                                         _mm256_loadu_pd(out + j)));
-      }
-      const double value = v[k];
-      for (; j < bcols; ++j) out[j] += value * brow[j];
-    }
-  }
-}
-
-void MatDenseBothAvx2(const CsrView& a, const double* lo, const double* hi,
-                      const double* b, size_t bcols, double* c_lo,
-                      double* c_hi, size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    double* out_lo = c_lo + i * bcols;
-    double* out_hi = c_hi + i * bcols;
-    for (size_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-      const double* brow = b + a.col_idx[k] * bcols;
-      const __m256d vlo = _mm256_set1_pd(lo[k]);
-      const __m256d vhi = _mm256_set1_pd(hi[k]);
-      size_t j = 0;
-      for (; j + 4 <= bcols; j += 4) {
-        const __m256d bv = _mm256_loadu_pd(brow + j);
-        _mm256_storeu_pd(
-            out_lo + j, _mm256_fmadd_pd(vlo, bv, _mm256_loadu_pd(out_lo + j)));
-        _mm256_storeu_pd(
-            out_hi + j, _mm256_fmadd_pd(vhi, bv, _mm256_loadu_pd(out_hi + j)));
-      }
-      for (; j < bcols; ++j) {
-        out_lo[j] += lo[k] * brow[j];
-        out_hi[j] += hi[k] * brow[j];
-      }
-    }
-  }
-}
-
-// -- Packed-index CSR kernels ------------------------------------------------
-//
-// The forward family over the 16/32-bit column sidecar. The matvec streams
-// are prefetched explicitly: the value stream consumes two cache lines per
-// 16-entry block, so it gets two prefetches ~3 KiB ahead; the narrower
-// index stream gets one at the matching byte distance. The hardware
-// prefetcher alone leaves ~20% of this machine's bandwidth on the table at
-// 20k x 5k — measured, not speculative.
-
-namespace {
+// The streams are prefetched explicitly: the value stream consumes two
+// cache lines per 16-entry block, so it gets two prefetches ~3 KiB ahead;
+// the narrower index stream gets one at the matching byte distance. The
+// hardware prefetcher alone left ~20% of the bandwidth on the table at
+// 20k x 5k when these were tuned — measured, not speculative.
 
 // Type-specific pieces: how to widen 4/8 packed indices to the i32 lanes
-// _mm256_i32gather_pd consumes, and how far ahead (in elements) the index
-// stream prefetch should run to stay ~4 KiB in front.
+// Gather consumes, and how far ahead (in elements) the index stream
+// prefetch should run to stay ~4 KiB in front.
 template <typename IdxT>
 struct IdxOps;
 
@@ -273,22 +108,22 @@ void MatVecPackedImpl(const PackedCsrView& a, const IdxT* idx, const double* v,
         const __m256i j1 = IdxOps<IdxT>::Load8(idx + k + u + 8);
         acc0 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u),
-            _mm256_i32gather_pd(x, _mm256_castsi256_si128(j0), 8), acc0);
+            Gather(x, _mm256_castsi256_si128(j0)), acc0);
         acc1 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 4),
-            _mm256_i32gather_pd(x, _mm256_extracti128_si256(j0, 1), 8), acc1);
+            Gather(x, _mm256_extracti128_si256(j0, 1)), acc1);
         acc2 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 8),
-            _mm256_i32gather_pd(x, _mm256_castsi256_si128(j1), 8), acc2);
+            Gather(x, _mm256_castsi256_si128(j1)), acc2);
         acc3 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 12),
-            _mm256_i32gather_pd(x, _mm256_extracti128_si256(j1, 1), 8), acc3);
+            Gather(x, _mm256_extracti128_si256(j1, 1)), acc3);
       }
     }
     for (; k + 4 <= end; k += 4) {
       acc0 = _mm256_fmadd_pd(
           _mm256_loadu_pd(v + k),
-          _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8), acc0);
+          Gather(x, IdxOps<IdxT>::Load4(idx + k)), acc0);
     }
     double sum = HSum(_mm256_add_pd(_mm256_add_pd(acc0, acc1),
                                     _mm256_add_pd(acc2, acc3)));
@@ -319,94 +154,20 @@ void MatVecMidPackedImpl(const PackedCsrView& a, const IdxT* idx,
           _mm256_mul_pd(half, _mm256_add_pd(_mm256_loadu_pd(lo + k + 4),
                                             _mm256_loadu_pd(hi + k + 4)));
       acc0 = _mm256_fmadd_pd(
-          m0, _mm256_i32gather_pd(x, _mm256_castsi256_si128(j), 8), acc0);
+          m0, Gather(x, _mm256_castsi256_si128(j)), acc0);
       acc1 = _mm256_fmadd_pd(
-          m1, _mm256_i32gather_pd(x, _mm256_extracti128_si256(j, 1), 8), acc1);
+          m1, Gather(x, _mm256_extracti128_si256(j, 1)), acc1);
     }
     for (; k + 4 <= end; k += 4) {
       const __m256d mid = _mm256_mul_pd(
           half,
           _mm256_add_pd(_mm256_loadu_pd(lo + k), _mm256_loadu_pd(hi + k)));
       acc0 = _mm256_fmadd_pd(
-          mid, _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8), acc0);
+          mid, Gather(x, IdxOps<IdxT>::Load4(idx + k)), acc0);
     }
     double sum = HSum(_mm256_add_pd(acc0, acc1));
     for (; k < end; ++k) sum += 0.5 * (lo[k] + hi[k]) * x[idx[k]];
     y[i] = sum;
-  }
-}
-
-template <typename IdxT>
-void MatVecBothPackedImpl(const PackedCsrView& a, const IdxT* idx,
-                          const double* lo, const double* hi, const double* x,
-                          double* y_lo, double* y_hi, size_t row_begin,
-                          size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d lo0 = _mm256_setzero_pd(), lo1 = _mm256_setzero_pd();
-    __m256d hi0 = _mm256_setzero_pd(), hi1 = _mm256_setzero_pd();
-    for (; k + 8 <= end; k += 8) {
-      __builtin_prefetch(lo + k + kValAhead);
-      __builtin_prefetch(hi + k + kValAhead);
-      __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
-      const __m256i j = IdxOps<IdxT>::Load8(idx + k);
-      const __m256d x0 = _mm256_i32gather_pd(x, _mm256_castsi256_si128(j), 8);
-      const __m256d x1 =
-          _mm256_i32gather_pd(x, _mm256_extracti128_si256(j, 1), 8);
-      lo0 = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), x0, lo0);
-      hi0 = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), x0, hi0);
-      lo1 = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k + 4), x1, lo1);
-      hi1 = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k + 4), x1, hi1);
-    }
-    for (; k + 4 <= end; k += 4) {
-      const __m256d xv =
-          _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8);
-      lo0 = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), xv, lo0);
-      hi0 = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), xv, hi0);
-    }
-    double sum_lo = HSum(_mm256_add_pd(lo0, lo1));
-    double sum_hi = HSum(_mm256_add_pd(hi0, hi1));
-    for (; k < end; ++k) {
-      const double xk = x[idx[k]];
-      sum_lo += lo[k] * xk;
-      sum_hi += hi[k] * xk;
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
-  }
-}
-
-template <typename IdxT>
-void MatVecPairPackedImpl(const PackedCsrView& a, const IdxT* idx,
-                          const double* lo, const double* hi,
-                          const double* x_lo, const double* x_hi,
-                          double* y_lo, double* y_hi, size_t row_begin,
-                          size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    size_t k = a.row_ptr[i];
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      __builtin_prefetch(lo + k + kValAhead);
-      __builtin_prefetch(hi + k + kValAhead);
-      __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
-      const __m128i j = IdxOps<IdxT>::Load4(idx + k);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k),
-                               _mm256_i32gather_pd(x_lo, j, 8), acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k),
-                               _mm256_i32gather_pd(x_hi, j, 8), acc_hi);
-    }
-    double sum_lo = HSum(acc_lo);
-    double sum_hi = HSum(acc_hi);
-    for (; k < end; ++k) {
-      const size_t j = idx[k];
-      sum_lo += lo[k] * x_lo[j];
-      sum_hi += hi[k] * x_hi[j];
-    }
-    y_lo[i] = sum_lo;
-    y_hi[i] = sum_hi;
   }
 }
 
@@ -435,22 +196,22 @@ void GramFusedPackedImpl(const PackedCsrView& a, const IdxT* idx,
         const __m256i j1 = IdxOps<IdxT>::Load8(idx + k + u + 8);
         acc0 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u),
-            _mm256_i32gather_pd(x, _mm256_castsi256_si128(j0), 8), acc0);
+            Gather(x, _mm256_castsi256_si128(j0)), acc0);
         acc1 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 4),
-            _mm256_i32gather_pd(x, _mm256_extracti128_si256(j0, 1), 8), acc1);
+            Gather(x, _mm256_extracti128_si256(j0, 1)), acc1);
         acc2 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 8),
-            _mm256_i32gather_pd(x, _mm256_castsi256_si128(j1), 8), acc2);
+            Gather(x, _mm256_castsi256_si128(j1)), acc2);
         acc3 = _mm256_fmadd_pd(
             _mm256_loadu_pd(v + k + u + 12),
-            _mm256_i32gather_pd(x, _mm256_extracti128_si256(j1, 1), 8), acc3);
+            Gather(x, _mm256_extracti128_si256(j1, 1)), acc3);
       }
     }
     for (; k + 4 <= end; k += 4) {
       acc0 = _mm256_fmadd_pd(
           _mm256_loadu_pd(v + k),
-          _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8), acc0);
+          Gather(x, IdxOps<IdxT>::Load4(idx + k)), acc0);
     }
     double s = HSum(_mm256_add_pd(_mm256_add_pd(acc0, acc1),
                                   _mm256_add_pd(acc2, acc3)));
@@ -468,53 +229,6 @@ void GramFusedPackedImpl(const PackedCsrView& a, const IdxT* idx,
       y[idx[k + 3]] += prod[3];
     }
     for (; k < end; ++k) y[idx[k]] += s * v[k];
-  }
-}
-
-template <typename IdxT>
-void GramFusedBothPackedImpl(const PackedCsrView& a, const IdxT* idx,
-                             const double* lo, const double* hi,
-                             const double* x, double* y_lo, double* y_hi,
-                             size_t row_begin, size_t row_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const size_t end = a.row_ptr[i + 1];
-    const size_t begin = a.row_ptr[i];
-    size_t k = begin;
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      __builtin_prefetch(lo + k + kValAhead);
-      __builtin_prefetch(hi + k + kValAhead);
-      __builtin_prefetch(idx + k + IdxOps<IdxT>::kPrefetchAhead);
-      const __m256d xv =
-          _mm256_i32gather_pd(x, IdxOps<IdxT>::Load4(idx + k), 8);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), xv, acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), xv, acc_hi);
-    }
-    double s_lo = HSum(acc_lo);
-    double s_hi = HSum(acc_hi);
-    for (; k < end; ++k) {
-      const double xk = x[idx[k]];
-      s_lo += lo[k] * xk;
-      s_hi += hi[k] * xk;
-    }
-    if (s_lo == 0.0 && s_hi == 0.0) continue;
-    const __m256d sv_lo = _mm256_set1_pd(s_lo);
-    const __m256d sv_hi = _mm256_set1_pd(s_hi);
-    k = begin;
-    for (; k + 4 <= end; k += 4) {
-      alignas(32) double p_lo[4], p_hi[4];
-      _mm256_store_pd(p_lo, _mm256_mul_pd(sv_lo, _mm256_loadu_pd(lo + k)));
-      _mm256_store_pd(p_hi, _mm256_mul_pd(sv_hi, _mm256_loadu_pd(hi + k)));
-      for (size_t l = 0; l < 4; ++l) {
-        y_lo[idx[k + l]] += p_lo[l];
-        y_hi[idx[k + l]] += p_hi[l];
-      }
-    }
-    for (; k < end; ++k) {
-      y_lo[idx[k]] += s_lo * lo[k];
-      y_hi[idx[k]] += s_hi * hi[k];
-    }
   }
 }
 
@@ -540,31 +254,6 @@ void MatVecMidPackedAvx2(const PackedCsrView& a, const double* lo,
   }
 }
 
-void MatVecBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x, double* y_lo,
-                          double* y_hi, size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    MatVecBothPackedImpl(a, a.col16, lo, hi, x, y_lo, y_hi, row_begin,
-                         row_end);
-  } else {
-    MatVecBothPackedImpl(a, a.col32, lo, hi, x, y_lo, y_hi, row_begin,
-                         row_end);
-  }
-}
-
-void MatVecPairPackedAvx2(const PackedCsrView& a, const double* lo,
-                          const double* hi, const double* x_lo,
-                          const double* x_hi, double* y_lo, double* y_hi,
-                          size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    MatVecPairPackedImpl(a, a.col16, lo, hi, x_lo, x_hi, y_lo, y_hi,
-                         row_begin, row_end);
-  } else {
-    MatVecPairPackedImpl(a, a.col32, lo, hi, x_lo, x_hi, y_lo, y_hi,
-                         row_begin, row_end);
-  }
-}
-
 void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
                          const double* x, double* y, size_t row_begin,
                          size_t row_end) {
@@ -572,95 +261,6 @@ void GramFusedPackedAvx2(const PackedCsrView& a, const double* v,
     GramFusedPackedImpl(a, a.col16, v, x, y, row_begin, row_end);
   } else {
     GramFusedPackedImpl(a, a.col32, v, x, y, row_begin, row_end);
-  }
-}
-
-void GramFusedBothPackedAvx2(const PackedCsrView& a, const double* lo,
-                             const double* hi, const double* x, double* y_lo,
-                             double* y_hi, size_t row_begin, size_t row_end) {
-  if (a.col16 != nullptr) {
-    GramFusedBothPackedImpl(a, a.col16, lo, hi, x, y_lo, y_hi, row_begin,
-                            row_end);
-  } else {
-    GramFusedBothPackedImpl(a, a.col32, lo, hi, x, y_lo, y_hi, row_begin,
-                            row_end);
-  }
-}
-
-// -- SELL-C-4 chunk kernels --------------------------------------------------
-//
-// One __m256d accumulator carries the four lane sums of a chunk; each slice
-// is one 32-bit-index gather + FMA with no per-row remainder handling at
-// all (padding was baked into the layout).
-
-void SellMatVecAvx2(const SellView& s, const double* v, const double* x,
-                    double* y, size_t chunk_begin, size_t chunk_end) {
-  for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    const size_t end = s.chunk_ptr[c + 1];
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t k = s.chunk_ptr[c]; k < end; k += kSellC) {
-      const __m128i idx =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.col + k));
-      acc = _mm256_fmadd_pd(_mm256_loadu_pd(v + k),
-                            _mm256_i32gather_pd(x, idx, 8), acc);
-    }
-    alignas(32) double lanes[kSellC];
-    _mm256_store_pd(lanes, acc);
-    const size_t* perm = s.perm + kSellC * c;
-    for (size_t l = 0; l < kSellC; ++l) {
-      if (perm[l] != kSellPadRow) y[perm[l]] = lanes[l];
-    }
-  }
-}
-
-void SellMatVecMidAvx2(const SellView& s, const double* lo, const double* hi,
-                       const double* x, double* y, size_t chunk_begin,
-                       size_t chunk_end) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    const size_t end = s.chunk_ptr[c + 1];
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t k = s.chunk_ptr[c]; k < end; k += kSellC) {
-      const __m128i idx =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.col + k));
-      const __m256d mid = _mm256_mul_pd(
-          half, _mm256_add_pd(_mm256_loadu_pd(lo + k), _mm256_loadu_pd(hi + k)));
-      acc = _mm256_fmadd_pd(mid, _mm256_i32gather_pd(x, idx, 8), acc);
-    }
-    alignas(32) double lanes[kSellC];
-    _mm256_store_pd(lanes, acc);
-    const size_t* perm = s.perm + kSellC * c;
-    for (size_t l = 0; l < kSellC; ++l) {
-      if (perm[l] != kSellPadRow) y[perm[l]] = lanes[l];
-    }
-  }
-}
-
-void SellMatVecBothAvx2(const SellView& s, const double* lo, const double* hi,
-                        const double* x, double* y_lo, double* y_hi,
-                        size_t chunk_begin, size_t chunk_end) {
-  for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    const size_t end = s.chunk_ptr[c + 1];
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (size_t k = s.chunk_ptr[c]; k < end; k += kSellC) {
-      const __m128i idx =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.col + k));
-      const __m256d xv = _mm256_i32gather_pd(x, idx, 8);
-      acc_lo = _mm256_fmadd_pd(_mm256_loadu_pd(lo + k), xv, acc_lo);
-      acc_hi = _mm256_fmadd_pd(_mm256_loadu_pd(hi + k), xv, acc_hi);
-    }
-    alignas(32) double lanes_lo[kSellC];
-    alignas(32) double lanes_hi[kSellC];
-    _mm256_store_pd(lanes_lo, acc_lo);
-    _mm256_store_pd(lanes_hi, acc_hi);
-    const size_t* perm = s.perm + kSellC * c;
-    for (size_t l = 0; l < kSellC; ++l) {
-      if (perm[l] != kSellPadRow) {
-        y_lo[perm[l]] = lanes_lo[l];
-        y_hi[perm[l]] = lanes_hi[l];
-      }
-    }
   }
 }
 

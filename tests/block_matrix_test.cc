@@ -1,19 +1,23 @@
 // Shard-boundary and backing coverage for ShardedSparseIntervalMatrix:
-// every sharded kernel against the monolithic CSR at the kernels' 1e-12
-// differential bound across the partition shapes that exercise boundary
-// arithmetic (unaligned last shard, single-row shards, shard_rows >= n,
-// whole shards of empty rows), in both sign regimes; construction-route
-// equivalence (FromTriplets / FromCsr / Builder / View); the dense-Gram
-// statics' bit-identity promise; and the mmap story — kernel parity on a
-// mapped store, the kAuto size cutover, and the crash-consistency smoke
-// (persist a segment directory, drop the matrix, OpenStore from a clean
-// object, re-verify).
+// every kernel against a one-shard View of the same matrix (the serial row
+// loop) at the kernels' 1e-12 differential bound across the partition
+// shapes that exercise boundary arithmetic (unaligned last shard,
+// single-row shards, shard_rows >= n, whole shards of empty rows), in both
+// sign regimes; the forward kernels' bit-identity promise across shard
+// sizes and backings under each backend; construction-route equivalence
+// (FromTriplets / FromCsr / Builder / View); the dense-Gram statics'
+// bit-identity promise; and the mmap story — kernel parity on a mapped
+// store, the kAuto size cutover, and the crash-consistency smoke (persist
+// a segment directory, drop the matrix, OpenStore from a clean object,
+// re-verify).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include "sparse/block_matrix.h"
 #include "sparse/shard_store.h"
 #include "sparse/sparse_interval_matrix.h"
+#include "sparse/sparse_kernels.h"
 
 namespace ivmf {
 namespace {
@@ -89,10 +94,14 @@ Matrix RandomDense(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-// Every sharded kernel against its monolithic sibling. The two kernels
-// MultiplyTransposeMid and IntervalMultiplyDenseTranspose have no
-// monolithic namesake; their references are the endpoint-transpose average
-// and the materialized-transpose interval product respectively.
+// A one-shard view of `m`: every kernel's serial row loop.
+ShardedSparseIntervalMatrix OneShardView(const SparseIntervalMatrix& m) {
+  return ShardedSparseIntervalMatrix::View(
+      std::make_shared<const SparseIntervalMatrix>(m),
+      std::max<size_t>(1, m.rows()));
+}
+
+// Every kernel of `sharded` against a one-shard view of `mono`.
 void ExpectKernelsMatchMonolithic(const SparseIntervalMatrix& mono,
                                   const ShardedSparseIntervalMatrix& sharded,
                                   const std::string& what) {
@@ -101,6 +110,7 @@ void ExpectKernelsMatchMonolithic(const SparseIntervalMatrix& mono,
   ASSERT_EQ(sharded.nnz(), mono.nnz()) << what;
   EXPECT_EQ(sharded.IsProper(), mono.IsProper()) << what;
   EXPECT_EQ(sharded.IsNonNegative(), mono.IsNonNegative()) << what;
+  const ShardedSparseIntervalMatrix serial = OneShardView(mono);
 
   const size_t rows = mono.rows(), cols = mono.cols();
   Rng rng(5);
@@ -108,58 +118,36 @@ void ExpectKernelsMatchMonolithic(const SparseIntervalMatrix& mono,
   for (double& v : x) v = rng.Uniform(-1.0, 1.0);
   for (double& v : xt) v = rng.Uniform(-1.0, 1.0);
 
-  std::vector<double> got(rows), want(rows);
+  std::vector<double> got, want;
   for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
-    mono.Multiply(e, x, want);
+    serial.Multiply(e, x, want);
     sharded.Multiply(e, x, got);
     ExpectVecNear(got, want, what + " Multiply");
+    serial.MultiplyTranspose(e, xt, want);
+    sharded.MultiplyTranspose(e, xt, got);
+    ExpectVecNear(got, want, what + " MultiplyTranspose");
+    serial.GramMultiply(e, x, want);
+    sharded.GramMultiply(e, x, got);
+    ExpectVecNear(got, want, what + " GramMultiply");
   }
-  mono.MultiplyMid(x, want);
+  serial.MultiplyMid(x, want);
   sharded.MultiplyMid(x, got);
   ExpectVecNear(got, want, what + " MultiplyMid");
-
-  std::vector<double> got_hi(rows), want_hi(rows);
-  mono.MultiplyBoth(x, want, want_hi);
-  sharded.MultiplyBoth(x, got, got_hi);
-  ExpectVecNear(got, want, what + " MultiplyBoth lo");
-  ExpectVecNear(got_hi, want_hi, what + " MultiplyBoth hi");
-
-  std::vector<double> t_got(cols), t_want(cols);
-  std::vector<double> t_lo(cols), t_hi(cols);
-  for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
-    mono.MultiplyTranspose(e, xt, t_want);
-    sharded.MultiplyTranspose(e, xt, t_got);
-    ExpectVecNear(t_got, t_want, what + " MultiplyTranspose");
-  }
-  mono.MultiplyTranspose(Endpoint::kLower, xt, t_lo);
-  mono.MultiplyTranspose(Endpoint::kUpper, xt, t_hi);
-  for (size_t j = 0; j < cols; ++j) t_want[j] = 0.5 * (t_lo[j] + t_hi[j]);
-  sharded.MultiplyTransposeMid(xt, t_got);
-  ExpectVecNear(t_got, t_want, what + " MultiplyTransposeMid");
-
-  std::vector<double> g_got(cols), g_want(cols);
-  for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
-    mono.GramMultiply(e, x, g_want);
-    sharded.GramMultiply(e, x, g_got);
-    ExpectVecNear(g_got, g_want, what + " GramMultiply");
-  }
-  std::vector<double> g_got_hi(cols), g_want_hi(cols);
-  mono.GramMultiplyBoth(x, g_want, g_want_hi);
-  sharded.GramMultiplyBoth(x, g_got, g_got_hi);
-  ExpectVecNear(g_got, g_want, what + " GramMultiplyBoth lo");
-  ExpectVecNear(g_got_hi, g_want_hi, what + " GramMultiplyBoth hi");
+  serial.MultiplyTransposeMid(xt, want);
+  sharded.MultiplyTransposeMid(xt, got);
+  ExpectVecNear(got, want, what + " MultiplyTransposeMid");
 
   const Matrix b = RandomDense(cols, 3, 31);
   const Matrix bt = RandomDense(rows, 3, 32);
   for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
-    ExpectMatNear(sharded.MultiplyDense(e, b), mono.MultiplyDense(e, b),
+    ExpectMatNear(sharded.MultiplyDense(e, b), serial.MultiplyDense(e, b),
                   what + " MultiplyDense");
   }
   ExpectIntervalMatNear(sharded.IntervalMultiplyDense(b),
-                        mono.IntervalMultiplyDense(b),
+                        serial.IntervalMultiplyDense(b),
                         what + " IntervalMultiplyDense");
   ExpectIntervalMatNear(sharded.IntervalMultiplyDenseTranspose(bt),
-                        mono.Transpose().IntervalMultiplyDense(bt),
+                        serial.IntervalMultiplyDenseTranspose(bt),
                         what + " IntervalMultiplyDenseTranspose");
 
   for (size_t i = 0; i < rows; ++i) {
@@ -220,6 +208,89 @@ TEST_P(ShardBoundaryTest, WholeEmptyShards) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SignRegimes, ShardBoundaryTest, ::testing::Bool());
+
+void ExpectBitIdentical(const std::vector<double>& got,
+                        const std::vector<double>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << "[" << i << "]";
+  }
+}
+
+void ExpectBitIdentical(const Matrix& got, const Matrix& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  ExpectBitIdentical(
+      std::vector<double>(got.data(), got.data() + got.rows() * got.cols()),
+      std::vector<double>(want.data(), want.data() + want.rows() * want.cols()),
+      what);
+}
+
+// The header's promise: under one backend the forward kernels compute each
+// output row by one per-row loop, so Multiply, MultiplyMid, MultiplyDense
+// and IntervalMultiplyDense return the same bits for every shard size and
+// backing — owned u32 shards, mapped segments and views of the u16 sidecar
+// alike — and so does the CSR Multiply forward.
+TEST(BlockMatrixForwardTest, BitIdenticalAcrossShardSizesAndBackings) {
+  // ~42 nnz per row, so the AVX2 rows run their 32-wide main loop too.
+  const size_t rows = 61, cols = 70;
+  for (const bool signed_values : {false, true}) {
+    const std::vector<IntervalTriplet> triplets =
+        MakeTriplets(rows, cols, 0.6, signed_values, 79);
+    for (const spk::Backend backend :
+         {spk::Backend::kScalar, spk::Backend::kAvx2}) {
+      auto base = std::make_shared<SparseIntervalMatrix>(
+          SparseIntervalMatrix::FromTriplets(rows, cols, triplets));
+      base->set_kernel(backend);
+      const ShardedSparseIntervalMatrix serial = OneShardView(*base);
+      Rng rng(6);
+      std::vector<double> x(cols);
+      for (double& v : x) v = rng.Uniform(-1.0, 1.0);
+      const Matrix b = RandomDense(cols, 5, 33);
+      std::vector<double> want_lo, want_hi, want_mid, got;
+      serial.Multiply(Endpoint::kLower, x, want_lo);
+      serial.Multiply(Endpoint::kUpper, x, want_hi);
+      serial.MultiplyMid(x, want_mid);
+      const Matrix want_dense = serial.MultiplyDense(Endpoint::kUpper, b);
+      const IntervalMatrix want_interval = serial.IntervalMultiplyDense(b);
+      base->Multiply(Endpoint::kLower, x, got);
+      ExpectBitIdentical(got, want_lo, "csr Multiply");
+
+      for (const size_t shard_rows : {1u, 7u, 61u, 100u}) {
+        const ShardedSparseIntervalMatrix memory =
+            ShardedSparseIntervalMatrix::FromCsr(*base, shard_rows);
+        const ShardedSparseIntervalMatrix mapped =
+            ShardedSparseIntervalMatrix::FromCsr(*base, shard_rows,
+                                                 BackingPolicy::Mmap());
+        const ShardedSparseIntervalMatrix view =
+            ShardedSparseIntervalMatrix::View(base, shard_rows);
+        const std::pair<const char*, const ShardedSparseIntervalMatrix*>
+            stores[] = {{"memory", &memory}, {"mmap", &mapped}, {"view", &view}};
+        for (const auto& [backing, store] : stores) {
+          const std::string what =
+              std::string(spk::BackendName(backend)) + "/" + backing +
+              "/shard_rows=" + std::to_string(shard_rows) +
+              (signed_values ? "/signed" : "/nonneg");
+          store->Multiply(Endpoint::kLower, x, got);
+          ExpectBitIdentical(got, want_lo, what + " Multiply lo");
+          store->Multiply(Endpoint::kUpper, x, got);
+          ExpectBitIdentical(got, want_hi, what + " Multiply hi");
+          store->MultiplyMid(x, got);
+          ExpectBitIdentical(got, want_mid, what + " MultiplyMid");
+          ExpectBitIdentical(store->MultiplyDense(Endpoint::kUpper, b),
+                             want_dense, what + " MultiplyDense");
+          const IntervalMatrix interval = store->IntervalMultiplyDense(b);
+          ExpectBitIdentical(interval.lower(), want_interval.lower(),
+                             what + " IntervalMultiplyDense lo");
+          ExpectBitIdentical(interval.upper(), want_interval.upper(),
+                             what + " IntervalMultiplyDense hi");
+        }
+      }
+    }
+  }
+}
 
 TEST(BlockMatrixConstructionTest, FromCsrMatchesFromTriplets) {
   std::vector<IntervalTriplet> triplets = MakeTriplets(40, 17, 0.2, true, 81);

@@ -291,5 +291,35 @@ TEST(LanczosTest, ConvergenceExitMatchesFullCapRun) {
   }
 }
 
+// Death tests fork, which ThreadSanitizer instrumentation does not support.
+#if defined(__SANITIZE_THREAD__)
+#define IVMF_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define IVMF_TSAN_BUILD 1
+#endif
+#endif
+
+#ifndef IVMF_TSAN_BUILD
+// A warm basis is the solver's own carried state, so one whose row count
+// is not the operator dimension means the caller captured the wrong factor
+// (V for U); it must abort rather than quietly start cold.
+TEST(LanczosDeathTest, WarmBasisOfWrongDimensionAborts) {
+  Rng rng(304);
+  const Matrix base = RandomMatrix(30, 5, rng);
+  const Matrix a = base * base.Transpose();
+  LanczosOptions options;
+  options.start_basis = RandomMatrix(29, 3, rng);
+  EXPECT_DEATH(ComputeLanczosEig(DenseSymmetricOperator(a), 3, options),
+               "warm-start basis dimension");
+  std::vector<double> v(30);
+  EXPECT_DEATH(lanczos_internal::WarmStartVector(RandomMatrix(31, 3, rng), 30,
+                                                 v),
+               "warm-start basis dimension");
+  // An absent basis is a cold start, not an error.
+  EXPECT_FALSE(lanczos_internal::WarmStartVector(Matrix(), 30, v));
+}
+#endif
+
 }  // namespace
 }  // namespace ivmf

@@ -147,7 +147,15 @@ TEST(SparseIntervalMatrixTest, MultiplyMatchesDense) {
   }
 }
 
-TEST(SparseIntervalMatrixTest, MultiplyTransposeMatchesDense) {
+// Every kernel but the CSR Multiply forward is the block-row store's, run
+// on a zero-copy view of the CSR matrix — as every sparse ISVD runs them.
+ShardedSparseIntervalMatrix ViewOf(const SparseIntervalMatrix& m,
+                                   size_t shard_rows) {
+  return ShardedSparseIntervalMatrix::View(
+      std::make_shared<const SparseIntervalMatrix>(m), shard_rows);
+}
+
+TEST(SparseViewKernelTest, MultiplyTransposeMatchesDense) {
   Rng rng(14);
   const SparseIntervalMatrix m = RandomSparse(20, 35, 0.25, rng);
   const IntervalMatrix dense = m.ToDense();
@@ -155,7 +163,7 @@ TEST(SparseIntervalMatrixTest, MultiplyTransposeMatchesDense) {
   for (double& v : x) v = rng.Uniform(-1.0, 1.0);
 
   std::vector<double> y;
-  m.MultiplyTranspose(Endpoint::kUpper, x, y);
+  ViewOf(m, 7).MultiplyTranspose(Endpoint::kUpper, x, y);
   ASSERT_EQ(y.size(), 35u);
   for (size_t j = 0; j < y.size(); ++j) {
     double expect = 0.0;
@@ -164,10 +172,11 @@ TEST(SparseIntervalMatrixTest, MultiplyTransposeMatchesDense) {
   }
 }
 
-TEST(SparseIntervalMatrixTest, ParallelMultiplyTransposeMatchesSerialScatter) {
-  // Enough rows to engage the per-thread partial accumulators (the parallel
-  // path starts at 2048 rows per worker). The parallel reduction reorders
-  // the summation by fixed row blocks, so the result must match the serial
+TEST(SparseViewKernelTest, ParallelMultiplyTransposeMatchesSerialScatter) {
+  // Enough rows to engage the per-group partial accumulators (the parallel
+  // path starts at 2048 rows per group) under the ViewShardRows partition
+  // the ISVD entry points use. The parallel reduction reorders the
+  // summation by fixed shard groups, so the result must match the serial
   // scatter to roundoff and be bit-stable across calls.
   Rng rng(91);
   std::vector<IntervalTriplet> triplets;
@@ -183,6 +192,8 @@ TEST(SparseIntervalMatrixTest, ParallelMultiplyTransposeMatchesSerialScatter) {
       SparseIntervalMatrix::FromTriplets(rows, cols, std::move(triplets));
   std::vector<double> x(rows);
   for (double& v : x) v = rng.Uniform(-1.0, 1.0);
+  const ShardedSparseIntervalMatrix view =
+      ViewOf(m, ShardedSparseIntervalMatrix::ViewShardRows(rows));
 
   for (const Endpoint e : {Endpoint::kLower, Endpoint::kUpper}) {
     // Serial scatter reference (the pre-parallelization algorithm).
@@ -191,8 +202,8 @@ TEST(SparseIntervalMatrixTest, ParallelMultiplyTransposeMatchesSerialScatter) {
       ref[t.col] += (e == Endpoint::kLower ? t.value.lo : t.value.hi) * x[t.row];
     }
     std::vector<double> y1, y2;
-    m.MultiplyTranspose(e, x, y1);
-    m.MultiplyTranspose(e, x, y2);
+    view.MultiplyTranspose(e, x, y1);
+    view.MultiplyTranspose(e, x, y2);
     ASSERT_EQ(y1.size(), cols);
     for (size_t j = 0; j < cols; ++j) {
       EXPECT_NEAR(y1[j], ref[j], 1e-10 * (1.0 + std::abs(ref[j])));
@@ -202,13 +213,13 @@ TEST(SparseIntervalMatrixTest, ParallelMultiplyTransposeMatchesSerialScatter) {
   }
 }
 
-TEST(SparseIntervalMatrixTest, MultiplyMidMatchesDenseMidpoint) {
+TEST(SparseViewKernelTest, MultiplyMidMatchesDenseMidpoint) {
   Rng rng(92);
   const SparseIntervalMatrix m = RandomSparse(40, 23, 0.3, rng);
   const Matrix mid = m.ToDense().Mid();
   std::vector<double> x(23), y;
   for (double& v : x) v = rng.Uniform(-1.0, 1.0);
-  m.MultiplyMid(x, y);
+  ViewOf(m, 7).MultiplyMid(x, y);
   ASSERT_EQ(y.size(), 40u);
   for (size_t i = 0; i < y.size(); ++i) {
     double expect = 0.0;
@@ -217,46 +228,22 @@ TEST(SparseIntervalMatrixTest, MultiplyMidMatchesDenseMidpoint) {
   }
 }
 
-TEST(SparseIntervalMatrixTest, MultiplyDenseMatchesDenseProduct) {
+TEST(SparseViewKernelTest, MultiplyDenseMatchesDenseProduct) {
   Rng rng(15);
   const SparseIntervalMatrix m = RandomSparse(18, 26, 0.3, rng);
   const Matrix b = RandomMatrix(26, 7, rng);
   const Matrix expect = m.ToDense().lower() * b;
-  const Matrix got = m.MultiplyDense(Endpoint::kLower, b);
+  const Matrix got = ViewOf(m, 7).MultiplyDense(Endpoint::kLower, b);
   EXPECT_LT(MaxAbsDiff(got, expect), 1e-12);
 }
 
-TEST(SparseIntervalMatrixTest, IntervalMultiplyDenseMatchesIntervalMatMul) {
+TEST(SparseViewKernelTest, IntervalMultiplyDenseMatchesIntervalMatMul) {
   Rng rng(16);
   const SparseIntervalMatrix m = RandomSparse(14, 22, 0.35, rng);
   const Matrix b = RandomMatrix(22, 5, rng);  // mixed-sign scalar operand
   const IntervalMatrix expect = IntervalMatMul(m.ToDense(), b);
-  const IntervalMatrix got = m.IntervalMultiplyDense(b);
+  const IntervalMatrix got = ViewOf(m, 7).IntervalMultiplyDense(b);
   EXPECT_TRUE(got.ApproxEquals(expect, 1e-12));
-}
-
-TEST(SparseIntervalMatrixTest, RowAndColNormsMatchDense) {
-  Rng rng(17);
-  const SparseIntervalMatrix m = RandomSparse(12, 19, 0.4, rng);
-  const IntervalMatrix dense = m.ToDense();
-  const std::vector<double> row = m.RowNorms(Endpoint::kLower);
-  const std::vector<double> col = m.ColNorms(Endpoint::kUpper);
-  ASSERT_EQ(row.size(), 12u);
-  ASSERT_EQ(col.size(), 19u);
-  for (size_t i = 0; i < row.size(); ++i) {
-    EXPECT_NEAR(row[i], Norm2(dense.lower().Row(i)), 1e-12);
-  }
-  for (size_t j = 0; j < col.size(); ++j) {
-    EXPECT_NEAR(col[j], Norm2(dense.upper().Col(j)), 1e-12);
-  }
-}
-
-// The Gram operator and dense-Gram statics every sparse ISVD2-4 runs are
-// the block-row store's, over a zero-copy view of the CSR matrix.
-ShardedSparseIntervalMatrix ViewOf(const SparseIntervalMatrix& m,
-                                   size_t shard_rows) {
-  return ShardedSparseIntervalMatrix::View(
-      std::make_shared<const SparseIntervalMatrix>(m), shard_rows);
 }
 
 TEST(SparseViewGramTest, ApplyMatchesDenseGram) {

@@ -92,7 +92,6 @@ class StatsMonitor {
           static_cast<unsigned long long>(
               snapshot.CounterValue("streaming.refresh.count{mode=cold}")),
           static_cast<unsigned long long>(
-              snapshot.CounterSum("sparse.matvec.calls") +
               snapshot.CounterSum("sparse.sharded.matvec.calls")));
       std::fflush(stdout);
     }
