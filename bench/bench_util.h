@@ -163,7 +163,7 @@ inline void WriteMemoryFields(JsonWriter& json) {
 struct SolverCounterDeltas {
   uint64_t matvecs = 0;        // sparse kernel invocations, all kernels
   uint64_t matvec_nnz = 0;     // nonzeros those invocations streamed
-  uint64_t iterations = 0;     // Krylov steps, eig + svd together
+  uint64_t iterations = 0;     // Krylov steps of the Lanczos eigensolver
   uint64_t restarts = 0;       // invariant-subspace restarts
   uint64_t warm_refreshes = 0;
   uint64_t cold_refreshes = 0;
@@ -178,9 +178,8 @@ struct SolverCounterDeltas {
     // sparse.sharded.matvec.*.
     matvecs = delta("sparse.sharded.matvec.calls");
     matvec_nnz = delta("sparse.sharded.matvec.nnz");
-    iterations =
-        delta("lanczos.eig.iterations") + delta("lanczos.svd.iterations");
-    restarts = delta("lanczos.eig.restarts") + delta("lanczos.svd.restarts");
+    iterations = delta("lanczos.eig.iterations");
+    restarts = delta("lanczos.eig.restarts");
     warm_refreshes = delta("streaming.refresh.count{mode=warm}");
     cold_refreshes = delta("streaming.refresh.count{mode=cold}");
   }

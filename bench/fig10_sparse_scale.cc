@@ -3,9 +3,9 @@
 // touch.
 //
 // Sweeps users x items (fill <= 0.05 by default) through the sparse
-// matrix-free ISVD path — CSR CF-interval construction, the Golub–Kahan–
-// Lanczos SVD for ISVD0/ISVD1, Lanczos on the O(nnz) Gram operator for
-// ISVD2–ISVD4, sparse solve/recompute — and reports per-phase timings. By
+// matrix-free ISVD path — CSR CF-interval construction, Lanczos on the
+// O(nnz) midpoint Gram (ISVD0) and endpoint Gram operators (ISVD1–ISVD4),
+// sparse solve/recompute — and reports per-phase timings. By
 // default every strategy 0–4 runs on every shape (all five are matrix-free
 // on the non-negative CF data); --strategy=N restricts to one. For shapes
 // below --dense_limit cells the dense route (materialized matrices + the
@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
   PrintRule(98);
   std::printf(
       "sparse path peak memory is O(nnz) + factors on non-negative data: "
-      "ISVD0/1 run the\nGolub-Kahan-Lanczos SVD on the endpoint operators and "
-      "ISVD2-4 never materialize the Gram.\n");
+      "ISVD0-4 run Lanczos\non the midpoint or endpoint Gram operators and "
+      "never materialize the Gram.\n");
   if (!json.Finish()) {
     std::fprintf(stderr, "error: failed writing JSON output\n");
     return 1;

@@ -1,15 +1,16 @@
 #include "core/sparse_isvd.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "base/parallel.h"
+#include "base/rng.h"
 #include "base/stopwatch.h"
 #include "core/isvd_internal.h"
 #include "interval/interval_ops.h"
 #include "linalg/lanczos.h"
-#include "linalg/lanczos_svd.h"
 #include "linalg/pinv.h"
 
 namespace ivmf {
@@ -30,6 +31,58 @@ LanczosOptions SideLanczos(const IsvdOptions& options, bool upper) {
   const Matrix& warm = upper ? options.warm_basis_hi : options.warm_basis_lo;
   if (warm.cols() > 0) lanczos.start_basis = warm;
   return lanczos;
+}
+
+// ISVD0/1's Krylov options for the Gram of M_p, the midpoint matrix
+// (`endpoint` empty) or an endpoint matrix. A carried warm basis wins;
+// otherwise the solve starts where Golub–Kahan bidiagonalization of M_p
+// starts, from v₀ = M_pᵀr / ‖M_pᵀr‖ with r drawn over the rows from
+// Rng(lanczos.seed). Lanczos on M_pᵀM_p from v₀ then builds Golub–Kahan's
+// Krylov space (its tridiagonal is B_kᵀB_k), so the Ritz values and right
+// Ritz vectors are the bidiagonalization's, and v₀ lies in the row space,
+// so no step is spent on the nullspace. When M_pᵀr ≈ 0 the one-column
+// basis is rejected by the solver, which then draws its own random start.
+LanczosOptions RowSpaceStart(const ShardedSparseIntervalMatrix& m,
+                             std::optional<Endpoint> endpoint,
+                             const IsvdOptions& options) {
+  LanczosOptions lanczos =
+      SideLanczos(options, endpoint == Endpoint::kUpper);
+  if (lanczos.start_basis.cols() > 0) return lanczos;
+  Rng rng(lanczos.seed);
+  std::vector<double> r(m.rows()), v;
+  for (double& x : r) x = rng.Normal();
+  if (endpoint) {
+    m.MultiplyTranspose(*endpoint, r, v);
+  } else {
+    m.MultiplyTransposeMid(r, v);
+  }
+  lanczos.start_basis = Matrix(v.size(), 1);
+  for (size_t i = 0; i < v.size(); ++i) lanczos.start_basis(i, 0) = v[i];
+  return lanczos;
+}
+
+void CheckSpectraComplete(const GramEig& gram) {
+  IVMF_CHECK_MSG(!gram.lo.truncated && !gram.hi.truncated,
+                 "Lanczos truncated a Gram endpoint spectrum "
+                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
+}
+
+// Lanczos on the per-endpoint Grams M_eᵀM_e, both endpoints in parallel
+// and one ShardedGramOperator each: ISVD1's decomposition, and the
+// matrix-free ISVD2-4 route on non-negative input, where these are the
+// Algorithm-1 Gram endpoints. The caller times it.
+GramEig EndpointGramEig(const ShardedSparseIntervalMatrix& m, size_t r,
+                        const LanczosOptions& lo, const LanczosOptions& hi) {
+  GramEig gram;
+  ParallelFor(0, 2, [&](size_t side) {
+    const bool upper = side == 1;
+    const ShardedGramOperator op(m, upper ? Endpoint::kUpper
+                                          : Endpoint::kLower);
+    (upper ? gram.hi : gram.lo) = ComputeLanczosEig(op, r, upper ? hi : lo);
+  });
+  gram.iterations = gram.lo.iterations + gram.hi.iterations;
+  CheckSpectraComplete(gram);
+  return gram;
 }
 
 // Degenerate 0 x m / n x 0 shapes: the empty decomposition, factors shaped
@@ -106,10 +159,10 @@ SolvedLeft SolveLeftFactor(const ShardedSparseIntervalMatrix& work,
 //
 // All O(nnz) work runs through the shard-parallel kernels, which stream
 // mmap'd segments when the store is disk-backed. The Gram is always MᵀM
-// (ShardedGramOperator is M_eᵀ(M_e x) by construction), and transposed
+// (ShardedGramOperator is M_pᵀ(M_p x) by construction), and transposed
 // products run as shard scatter reductions, so nothing here ever builds a
-// transposed store. The CSR overloads at the bottom reach the MMᵀ side by
-// running this code on a view of the transpose.
+// transposed store. The CSR overloads at the bottom reach the MMᵀ side of
+// ISVD2–4 by running this code on a view of the transpose.
 // ---------------------------------------------------------------------------
 
 IsvdResult Isvd0(const ShardedSparseIntervalMatrix& m, size_t rank,
@@ -118,22 +171,33 @@ IsvdResult Isvd0(const ShardedSparseIntervalMatrix& m, size_t rank,
   const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
   PhaseTimings timings;  // nothing to preprocess: no transpose is built
 
+  // The midpoint SVD's V and σ² are the top eigenpairs of M_midᵀM_mid.
   Stopwatch sw;
-  const ShardedEndpointMap mid(m, ShardedEndpointMap::Part::kMid);
-  const SvdResult svd = ComputeLanczosSvd(mid, r, SideLanczos(options, false));
+  const EigResult eig =
+      ComputeLanczosEig(ShardedGramOperator::Mid(m), r,
+                        RowSpaceStart(m, std::nullopt, options));
   timings.decompose = sw.Seconds();
-  IVMF_CHECK_MSG(!svd.truncated,
-                 "Lanczos SVD truncated the midpoint spectrum "
+  IVMF_CHECK_MSG(!eig.truncated,
+                 "Lanczos truncated the midpoint spectrum "
                  "(restart exhausted; see LanczosOptions::restart_tolerance)");
 
+  // U = M_mid V Σ⁻¹, with M_mid V the mean of the endpoint products.
+  sw.Restart();
+  const std::vector<double> sigma = SqrtClamped(eig.eigenvalues);
+  Matrix u = m.MultiplyDense(Endpoint::kLower, eig.eigenvectors);
+  u += m.MultiplyDense(Endpoint::kUpper, eig.eigenvectors);
+  u *= 0.5;
+  ScaleColumnsByInverseSigma(u, sigma);
+  timings.solve = sw.Seconds();
+
   IsvdResult result;
-  result.iterations = svd.iterations;
+  result.iterations = eig.iterations;
   result.target = DecompositionTarget::kC;  // ISVD0 is inherently scalar.
-  result.u = IntervalMatrix::FromScalar(svd.u);
-  result.v = IntervalMatrix::FromScalar(svd.v);
-  result.sigma.resize(svd.sigma.size());
-  for (size_t j = 0; j < svd.sigma.size(); ++j)
-    result.sigma[j] = Interval::Scalar(svd.sigma[j]);
+  result.u = IntervalMatrix::FromScalar(u);
+  result.v = IntervalMatrix::FromScalar(eig.eigenvectors);
+  result.sigma.resize(sigma.size());
+  for (size_t j = 0; j < sigma.size(); ++j)
+    result.sigma[j] = Interval::Scalar(sigma[j]);
   result.timings = timings;
   return result;
 }
@@ -142,36 +206,17 @@ IsvdResult Isvd1(const ShardedSparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options) {
   if (DegenerateShape(m)) return EmptyResult(m, options.target);
   const size_t r = isvd_internal::ClampRank(m.rows(), m.cols(), rank);
-  PhaseTimings timings;
 
+  // The endpoint SVDs' V_e and σ_e² are the top eigenpairs of the
+  // per-endpoint Grams M_eᵀM_e — not ComputeGramEig's, which on signed
+  // input are the four-product Algorithm-1 endpoints. From there ISVD1
+  // finishes as ISVD2 does: U_e = M_e V_e Σ_e⁻¹, ILSA on V, BuildResult.
   Stopwatch sw;
-  SvdResult lo, hi;
-  ParallelFor(0, 2, [&](size_t side) {
-    const ShardedEndpointMap map(m, side == 0
-                                        ? ShardedEndpointMap::Part::kLower
-                                        : ShardedEndpointMap::Part::kUpper);
-    (side == 0 ? lo : hi) =
-        ComputeLanczosSvd(map, r, SideLanczos(options, side == 1));
-  });
-  timings.decompose = sw.Seconds();
-  IVMF_CHECK_MSG(!lo.truncated && !hi.truncated,
-                 "Lanczos SVD truncated an endpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
-
-  sw.Restart();
-  const IlsaResult ilsa = ComputeIlsa(lo.v, hi.v, options.ilsa);
-  Matrix u_lo = lo.u;
-  Matrix v_lo = lo.v;
-  std::vector<double> s_lo = lo.sigma;
-  AlignMinSide(ilsa, &u_lo, &v_lo, &s_lo);
-  timings.align = sw.Seconds();
-
-  IsvdResult result = BuildResult(IntervalMatrix(std::move(u_lo), hi.u),
-                                  MakeIntervalDiag(s_lo, hi.sigma),
-                                  IntervalMatrix(std::move(v_lo), hi.v),
-                                  options.target, timings);
-  result.iterations = lo.iterations + hi.iterations;
-  return result;
+  GramEig gram =
+      EndpointGramEig(m, r, RowSpaceStart(m, Endpoint::kLower, options),
+                      RowSpaceStart(m, Endpoint::kUpper, options));
+  gram.decompose_seconds = sw.Seconds();
+  return Isvd2(m, r, gram, options);
 }
 
 GramEig ComputeGramEig(const ShardedSparseIntervalMatrix& m, size_t rank,
@@ -194,37 +239,32 @@ GramEig ComputeGramEig(const ShardedSparseIntervalMatrix& m, size_t rank,
   // Lanczos step is one fused shard-parallel pass over the store, and there
   // is no preprocess phase to charge.
   const bool non_negative = m.IsNonNegative();
-  const bool dense_gram = !non_negative || !use_lanczos;
   Stopwatch sw;
-  if (dense_gram) {
-    result.gram =
-        non_negative
-            ? IntervalMatrix(
-                  ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kLower),
-                  ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kUpper))
-            : ShardedSparseIntervalMatrix::DenseGramEndpoints(m);
-    result.preprocess_seconds = sw.Seconds();
-    sw.Restart();
+  if (non_negative && use_lanczos) {
+    result = EndpointGramEig(m, r, SideLanczos(options, false),
+                             SideLanczos(options, true));
+    result.decompose_seconds = sw.Seconds();
+    return result;
   }
 
+  result.gram =
+      non_negative
+          ? IntervalMatrix(
+                ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kLower),
+                ShardedSparseIntervalMatrix::DenseGram(m, Endpoint::kUpper))
+          : ShardedSparseIntervalMatrix::DenseGramEndpoints(m);
+  result.preprocess_seconds = sw.Seconds();
+  sw.Restart();
   ParallelFor(0, 2, [&](size_t side) {
     const bool upper = side == 1;
-    EigResult& out = upper ? result.hi : result.lo;
-    if (!dense_gram) {
-      const ShardedGramOperator op(m, upper ? Endpoint::kUpper
-                                            : Endpoint::kLower);
-      out = ComputeLanczosEig(op, r, SideLanczos(options, upper));
-      return;
-    }
     const Matrix& endpoint = upper ? result.gram.upper() : result.gram.lower();
-    out = use_lanczos
-              ? ComputeLanczosEig(endpoint, r, SideLanczos(options, upper))
-              : ComputeSymmetricEig(endpoint, r, options.eig);
+    (upper ? result.hi : result.lo) =
+        use_lanczos
+            ? ComputeLanczosEig(endpoint, r, SideLanczos(options, upper))
+            : ComputeSymmetricEig(endpoint, r, options.eig);
   });
   result.iterations = result.lo.iterations + result.hi.iterations;
-  IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
-                 "Lanczos truncated a Gram endpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
+  CheckSpectraComplete(result);
   result.decompose_seconds = sw.Seconds();
   return result;
 }

@@ -5,9 +5,17 @@
 // the block-row store ShardedSparseIntervalMatrix (sparse/block_matrix.h),
 // with every O(nnz) pass shard-parallel:
 //
-//  - ISVD0/ISVD1 decompose the midpoint / endpoint matrices through the
-//    Golub–Kahan–Lanczos bidiagonalization SVD (linalg/lanczos_svd.h) over
-//    ShardedEndpointMap, O(nnz) per step, any sign.
+//  - ISVD0/ISVD1 need only the top right singular vectors and σ² of the
+//    midpoint / endpoint matrices M_p: the top eigenpairs of M_pᵀM_p, which
+//    Lanczos (linalg/lanczos.h) reaches through ShardedGramOperator — the
+//    midpoint Gram as two passes, an endpoint Gram as one fused pass,
+//    O(nnz) per step, any sign — and U = M_p V Σ⁻¹ follows from one dense
+//    product. Each solve starts from Golub–Kahan bidiagonalization's start
+//    vector v₀ = M_pᵀr / ‖M_pᵀr‖ (r drawn over the rows from
+//    Rng(lanczos.seed)), so it builds the bidiagonalization's Krylov space
+//    and returns its Ritz values and vectors, unconverged trailing
+//    triplets included. A warm basis replaces v₀. The Gram side is MᵀM for
+//    every shape.
 //  - ISVD2–ISVD4 eigendecompose the Algorithm-1 interval Gram endpoints.
 //    For entrywise non-negative matrices the endpoints collapse to M_*ᵀM_*
 //    and M^*ᵀM^*, and on the Lanczos route the eigensolver touches them
@@ -42,8 +50,8 @@
 //                        useful for narrow matrices such as user-genre.
 //   EigSolver::kAuto     Lanczos when 4 * rank < gram dimension, else
 //                        Jacobi, mirroring the dense heuristic.
-// ISVD0/ISVD1 always run the bidiagonalization SVD (it IS the sparse
-// route); eig_solver and gram_side do not apply to them.
+// ISVD0/ISVD1 always run matrix-free Lanczos on MᵀM; eig_solver and
+// gram_side do not apply to them.
 
 #ifndef IVMF_CORE_SPARSE_ISVD_H_
 #define IVMF_CORE_SPARSE_ISVD_H_
@@ -58,16 +66,18 @@ namespace ivmf {
 // or for kAuto the smaller Gram (kMtM when cols <= rows, else kMMt).
 GramSide ResolveGramSide(const SparseIntervalMatrix& m, GramSide side);
 
-// ISVD0 (midpoint SVD) without materializing the midpoint matrix: the
-// Golub–Kahan–Lanczos solver applies ((M_* + M^*) / 2) x fused over the
-// shared sparse pattern. The result is always scalar (target c), like the
-// dense overload.
+// ISVD0 (midpoint SVD) without materializing the midpoint matrix: Lanczos
+// on M_midᵀM_mid, M_mid = (M_* + M^*) / 2 applied fused over the shared
+// sparse pattern, then U = M_mid V Σ⁻¹ (timed as solve). The result is
+// always scalar (target c), like the dense overload.
 IsvdResult Isvd0(const SparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options = {});
 
 // ISVD1 (endpoint SVDs + ILSA) with both endpoint decompositions running
-// matrix-free; the alignment and target construction mirror the dense
-// overload on the small factors.
+// matrix-free, as Lanczos on the per-endpoint Grams M_eᵀM_e (not the
+// Algorithm-1 Gram endpoints, which differ on signed input); U_e = M_e V_e
+// Σ_e⁻¹ (timed as solve), and the alignment and target construction mirror
+// the dense overload on the small factors.
 IsvdResult Isvd1(const SparseIntervalMatrix& m, size_t rank,
                  const IsvdOptions& options = {});
 

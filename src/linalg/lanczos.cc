@@ -30,6 +30,28 @@ struct EigInstruments {
   }
 };
 
+// Removes from `w` its components along the first `count` columns of `q`,
+// twice ("twice is enough" for numerical robustness): the full
+// reorthogonalization of both the Lanczos step and the breakdown restart.
+void Reorthogonalize(const Matrix& q, size_t count, std::vector<double>& w) {
+  obs::TraceSpan span("lanczos.reorth");
+  const size_t n = q.rows();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t k = 0; k < count; ++k) {
+      double proj = 0.0;
+      for (size_t i = 0; i < n; ++i) proj += w[i] * q(i, k);
+      for (size_t i = 0; i < n; ++i) w[i] -= proj * q(i, k);
+    }
+  }
+}
+
+// The projected tridiagonal eigenproblem (TridiagonalQL into `z`).
+bool SolveSmallEig(std::vector<double>& diag, std::vector<double>& off,
+                   Matrix& z) {
+  obs::TraceSpan span("lanczos.small_eig");
+  return TridiagonalQL(diag, off, &z);
+}
+
 }  // namespace
 
 namespace lanczos_internal {
@@ -162,7 +184,10 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
   for (size_t j = 0; j < m; ++j) {
     built = j + 1;
     for (size_t i = 0; i < n; ++i) v[i] = q(i, j);
-    op.Apply(v, w);
+    {
+      obs::TraceSpan matvec("lanczos.matvec");
+      op.Apply(v, w);
+    }
     if (j > 0) {
       for (size_t i = 0; i < n; ++i) w[i] -= beta[j - 1] * q(i, j - 1);
     }
@@ -171,15 +196,8 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
     alpha[j] = aj;
     for (size_t i = 0; i < n; ++i) w[i] -= aj * v[i];
 
-    // Full reorthogonalization against the basis built so far (twice, for
-    // numerical robustness — "twice is enough").
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t k = 0; k <= j; ++k) {
-        double proj = 0.0;
-        for (size_t i = 0; i < n; ++i) proj += w[i] * q(i, k);
-        for (size_t i = 0; i < n; ++i) w[i] -= proj * q(i, k);
-      }
-    }
+    // Full reorthogonalization against the basis built so far.
+    Reorthogonalize(q, j + 1, w);
 
     const double wnorm = Norm2(w);
     last_wnorm = wnorm;
@@ -200,13 +218,7 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
         bool restarted = false;
         for (int attempt = 0; attempt < 3 && !restarted; ++attempt) {
           for (double& x : w) x = rng.Normal();
-          for (int pass = 0; pass < 2; ++pass) {
-            for (size_t k = 0; k <= j; ++k) {
-              double proj = 0.0;
-              for (size_t i = 0; i < n; ++i) proj += w[i] * q(i, k);
-              for (size_t i = 0; i < n; ++i) w[i] -= proj * q(i, k);
-            }
-          }
+          Reorthogonalize(q, j + 1, w);
           const double rnorm = Norm2(w);
           if (rnorm > options.restart_tolerance) {
             for (size_t i = 0; i < n; ++i) q(i, j + 1) = w[i] / rnorm;
@@ -236,7 +248,7 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
         std::vector<double> e;
         for (size_t i = 0; i + 1 < built; ++i) e.push_back(beta[i]);
         Matrix z = Matrix::Identity(built);
-        if (TridiagonalQL(d, e, &z)) {
+        if (SolveSmallEig(d, e, z)) {
           double theta_max = 0.0;
           for (const double t : d) theta_max = std::max(theta_max, std::abs(t));
           const double bound = options.convergence_tol * theta_max;
@@ -256,7 +268,7 @@ EigResult ComputeLanczosEig(const LinearOperator& op, size_t rank,
   std::vector<double> off;
   for (size_t i = 0; i + 1 < built; ++i) off.push_back(beta[i]);
   Matrix z = Matrix::Identity(built);
-  IVMF_CHECK_MSG(TridiagonalQL(diag, off, &z), "tridiagonal QL failed");
+  IVMF_CHECK_MSG(SolveSmallEig(diag, off, z), "tridiagonal QL failed");
 
   // Take the top-`rank` (largest) Ritz pairs; TridiagonalQL sorts ascending.
   const size_t keep = std::min(effective_rank, built);

@@ -1,13 +1,20 @@
 // Truncated symmetric eigendecomposition via the Lanczos method with full
-// reorthogonalization.
+// reorthogonalization — the library's one Krylov solver.
 //
-// ISVD2–ISVD4 only need the top-r eigenpairs of the Gram matrices; the
-// cyclic Jacobi solver (linalg/eig.h) computes the full spectrum in O(n³)
-// per sweep, which dominates the pipeline for large matrices. Lanczos
-// builds a Krylov basis of dimension O(r) and solves a small symmetric
-// tridiagonal problem instead — typically an order of magnitude faster at
-// low rank while agreeing with Jacobi to ~1e-8 (see the kernels
-// microbenchmark and tests/lanczos_test.cc).
+// ISVD2–ISVD4 only need the top-r eigenpairs of the Gram matrices, and
+// ISVD0/ISVD1 only the top right singular vectors and σ² of a scalar
+// matrix M, which are the top eigenpairs of MᵀM; the cyclic Jacobi solver
+// (linalg/eig.h) computes the full spectrum in O(n³) per sweep, which
+// dominates the pipeline for large matrices. Lanczos builds a Krylov basis
+// of dimension O(r) and solves a small symmetric tridiagonal problem
+// instead — typically an order of magnitude faster at low rank while
+// agreeing with Jacobi to ~1e-8 (see the kernels microbenchmark and
+// tests/lanczos_test.cc).
+//
+// A traced solve splits its time into the spans lanczos.matvec (operator
+// applies), lanczos.reorth (full reorthogonalization, step and restart)
+// and lanczos.small_eig (the projected tridiagonal problem), nested in
+// lanczos.eig; the Ritz-vector assembly is lanczos.eig's own time.
 
 #ifndef IVMF_LINALG_LANCZOS_H_
 #define IVMF_LINALG_LANCZOS_H_
@@ -41,7 +48,8 @@ struct LanczosOptions {
   // the streaming ISVD driver. When non-empty the Krylov start vector is the
   // normalized column sum (equal energy in every carried direction) instead
   // of a random draw; its row count must then equal the operator dimension
-  // (checked).
+  // (checked). A single column is an explicit start vector: the sparse
+  // ISVD0/ISVD1 pass the row-space vector Mᵀr here (core/sparse_isvd.h).
   Matrix start_basis;
   // When > 0, the small projected problem is solved every
   // `convergence_interval` steps and the iteration stops as soon as every
@@ -51,11 +59,6 @@ struct LanczosOptions {
   double convergence_tol = 0.0;
   size_t convergence_interval = 8;
 };
-
-// The Golub–Kahan–Lanczos SVD (linalg/lanczos_svd.h) shares the same Krylov
-// policy knobs; `start_basis` there approximates the dominant *right*
-// singular subspace.
-using LanczosSvdOptions = LanczosOptions;
 
 // Computes the `rank` algebraically-largest eigenpairs of the symmetric
 // matrix `a` (rank == 0 or rank >= n falls back to the full Jacobi solver).
@@ -82,7 +85,6 @@ namespace lanczos_internal {
 // whose row count is not `dim` is a checked precondition violation: the
 // basis is the solver's own carried state, so a mismatch is a bug in the
 // caller (say, the wrong factor captured), not a reason to start cold.
-// Shared by the eigensolver and the Golub–Kahan–Lanczos SVD.
 bool WarmStartVector(const Matrix& basis, size_t dim, std::vector<double>& v);
 
 }  // namespace lanczos_internal

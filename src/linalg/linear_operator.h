@@ -3,9 +3,10 @@
 // The Lanczos eigensolver only ever touches its input through products
 // y = A x, so it can be programmed against an abstract operator instead of a
 // materialized matrix (the dense_matrix / matrix_store split popularized by
-// semi-external-memory graph engines). ISVD2–ISVD4 exploit this to
-// eigendecompose the Gram matrix A† = M†ᵀ M† without ever forming the m x m
-// matrix: the operator applies M†ᵀ(M† x) in O(nnz) per Lanczos step.
+// semi-external-memory graph engines). Every sparse ISVD exploits this to
+// eigendecompose a Gram matrix without ever forming the m x m matrix: the
+// operator applies M_eᵀ(M_e x) (ISVD1–ISVD4, per endpoint) or
+// M_midᵀ(M_mid x) (ISVD0) in O(nnz) per Lanczos step.
 
 #ifndef IVMF_LINALG_LINEAR_OPERATOR_H_
 #define IVMF_LINALG_LINEAR_OPERATOR_H_
@@ -24,12 +25,11 @@ namespace ivmf {
 // different operator instances (ComputeGramEig runs the lower/upper
 // endpoint solves on two threads, one operator each).
 //
-// Aliasing contract (interface-wide, for LinearMap too): `y` must be a
-// distinct vector from `x` — implementations stream the input while
-// writing the output in blocked (possibly vectorized or parallel) order,
-// so an in-place call would read half-written data. The sparse kernels
-// assert this (see sparse/sparse_kernels.h); the dense adapters below
-// check it too.
+// Aliasing contract: `y` must be a distinct vector from `x` —
+// implementations stream the input while writing the output in blocked
+// (possibly vectorized or parallel) order, so an in-place call would read
+// half-written data. The sparse kernels assert this (see
+// sparse/sparse_kernels.h); the dense adapter below checks it too.
 class LinearOperator {
  public:
   virtual ~LinearOperator() = default;
@@ -41,69 +41,6 @@ class LinearOperator {
   // alias `x`.
   virtual void Apply(const std::vector<double>& x,
                      std::vector<double>& y) const = 0;
-};
-
-// A general (rectangular) linear map A: R^Cols() -> R^Rows(), defined by its
-// forward and transpose actions. This is the operator the Golub–Kahan–
-// Lanczos bidiagonalization SVD (linalg/lanczos_svd.h) is programmed
-// against: ISVD0/ISVD1 decompose the endpoint (or midpoint) matrices of a
-// sparse interval matrix without ever materializing them, touching the data
-// only through y = A x and y = Aᵀ x.
-class LinearMap {
- public:
-  virtual ~LinearMap() = default;
-
-  virtual size_t Rows() const = 0;
-  virtual size_t Cols() const = 0;
-
-  // y = A x. `x` has Cols() entries; `y` is resized to Rows().
-  virtual void Apply(const std::vector<double>& x,
-                     std::vector<double>& y) const = 0;
-
-  // y = Aᵀ x. `x` has Rows() entries; `y` is resized to Cols().
-  virtual void ApplyTranspose(const std::vector<double>& x,
-                              std::vector<double>& y) const = 0;
-};
-
-// Adapter exposing a dense Matrix as a LinearMap. Both actions stream the
-// row-major storage in row order (the transpose apply as a scatter-free
-// accumulation over rows), so no transposed copy is ever built.
-class DenseLinearMap final : public LinearMap {
- public:
-  // Wraps `a` by reference; the matrix must outlive the map.
-  explicit DenseLinearMap(const Matrix& a) : a_(a) {}
-
-  size_t Rows() const override { return a_.rows(); }
-  size_t Cols() const override { return a_.cols(); }
-
-  void Apply(const std::vector<double>& x,
-             std::vector<double>& y) const override {
-    IVMF_CHECK(x.size() == a_.cols());
-    IVMF_CHECK_MSG(&y != &x, "Apply output must not alias the input");
-    y.resize(a_.rows());
-    for (size_t i = 0; i < a_.rows(); ++i) {
-      const double* row = a_.RowPtr(i);
-      double sum = 0.0;
-      for (size_t j = 0; j < a_.cols(); ++j) sum += row[j] * x[j];
-      y[i] = sum;
-    }
-  }
-
-  void ApplyTranspose(const std::vector<double>& x,
-                      std::vector<double>& y) const override {
-    IVMF_CHECK(x.size() == a_.rows());
-    IVMF_CHECK_MSG(&y != &x, "ApplyTranspose output must not alias the input");
-    y.assign(a_.cols(), 0.0);
-    for (size_t i = 0; i < a_.rows(); ++i) {
-      const double xi = x[i];
-      if (xi == 0.0) continue;
-      const double* row = a_.RowPtr(i);
-      for (size_t j = 0; j < a_.cols(); ++j) y[j] += row[j] * xi;
-    }
-  }
-
- private:
-  const Matrix& a_;
 };
 
 // Adapter exposing a dense symmetric Matrix as a LinearOperator. Rows are

@@ -1,6 +1,6 @@
 // Singular value decomposition via one-sided (Hestenes) Jacobi rotations.
 //
-// This is the scalar SVD primitive used by ISVD0 and ISVD1 and by the
+// This is the scalar SVD primitive used by the dense ISVD0 and ISVD1 and by the
 // pseudo-inverse / condition-number routines. One-sided Jacobi was chosen
 // because it is simple, numerically robust, and computes singular values
 // with high relative accuracy — at the matrix sizes used in the paper's
@@ -29,15 +29,6 @@ struct SvdResult {
 
   // Reconstruction U * diag(sigma) * V^T.
   Matrix Reconstruct() const;
-
-  // True when an iterative solver exhausted its basis before delivering the
-  // requested triplet count (see EigResult::truncated). Always false for
-  // the exact Jacobi solver.
-  bool truncated = false;
-
-  // Bidiagonalization steps an iterative solver spent (two operator
-  // applications each); 0 for direct solvers.
-  size_t iterations = 0;
 };
 
 struct SvdOptions {
@@ -56,10 +47,10 @@ SvdResult ComputeSvd(const Matrix& m, size_t rank = 0,
 // Fixes the joint sign freedom of singular-vector pairs: each column j is
 // flipped (in BOTH u and v, preserving u σ vᵀ) so that the entry of v(:, j)
 // with the largest absolute value (first such index on ties) is positive —
-// the same pivot rule CanonicalizeEigenvectorSigns uses. Every SVD in the
-// library (one-sided Jacobi here, Golub–Kahan–Lanczos in lanczos_svd.h)
-// applies this, so the dense and matrix-free ISVD0/ISVD1 paths produce
-// identical factors whenever they agree up to sign.
+// the same pivot rule CanonicalizeEigenvectorSigns uses. The dense SVD
+// applies this, and the matrix-free ISVD0/ISVD1 take V from canonicalized
+// Gram eigenvectors with U = M V Σ⁻¹ following V's sign, so the two paths
+// produce identical factors whenever they agree up to sign.
 void CanonicalizeSingularVectorSigns(Matrix& u, Matrix& v);
 
 }  // namespace ivmf

@@ -32,11 +32,12 @@
 // on a SparseIntervalMatrix runs on such a view (core/sparse_isvd.h), with
 // ViewShardRows picking the partition.
 //
-// The ShardedGramOperator / ShardedEndpointMap adapters at the bottom
-// plug the sharded kernels into the unchanged Lanczos drivers. The Gram
-// side is always MᵀM here (cols² scratch) and transposed products run as
-// shard scatter reductions, so no store ever needs a transposed copy of
-// itself; the CSR entry points get the MMᵀ side by viewing a transpose.
+// The ShardedGramOperator adapter at the bottom plugs the sharded kernels
+// into the one Lanczos solver (linalg/lanczos.h): endpoint Grams for
+// ISVD1-4, the midpoint Gram for ISVD0. The Gram side is always MᵀM here
+// (cols² scratch) and transposed products run as shard scatter
+// reductions, so no store ever needs a transposed copy of itself; the CSR
+// entry points get the MMᵀ side by viewing a transpose.
 
 #ifndef IVMF_SPARSE_BLOCK_MATRIX_H_
 #define IVMF_SPARSE_BLOCK_MATRIX_H_
@@ -44,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -271,78 +273,49 @@ class ShardedSparseIntervalMatrix::Builder {
   bool mmap_ = false;
 };
 
-// The symmetric operator x -> M_eᵀ (M_e x) over a sharded store — the
-// LinearOperator ComputeLanczosEig consumes for ISVD2-4. It is an
-// Algorithm-1 Gram endpoint only for entrywise non-negative input, where
-// the four endpoint products are monotone in the entries and the min/max
-// collapse to M_*ᵀM_* and M^*ᵀM^*; signed input uses DenseGramEndpoints.
-// Gram side is MᵀM by construction.
+// A Gram of a sharded store as the LinearOperator ComputeLanczosEig
+// consumes — the operator under every sparse ISVD. The endpoint Gram
+// x -> M_eᵀ (M_e x) is one fused GramMultiply pass per apply: ISVD1's
+// per-endpoint Gram, and ISVD2-4's Algorithm-1 Gram endpoint for entrywise
+// non-negative input, where the four endpoint products are monotone in the
+// entries and the min/max collapse to M_*ᵀM_* and M^*ᵀM^* (signed input
+// uses DenseGramEndpoints). The midpoint Gram x -> M_midᵀ (M_mid x), with
+// M_mid = (M_* + M^*) / 2, is ISVD0's: MultiplyMid into a rows()-long
+// scratch vector, then MultiplyTransposeMid (no fused midpoint kernel
+// exists). Gram side is MᵀM by construction.
 class ShardedGramOperator final : public LinearOperator {
  public:
   ShardedGramOperator(const ShardedSparseIntervalMatrix& m,
                       ShardedSparseIntervalMatrix::Endpoint endpoint)
       : m_(m), endpoint_(endpoint) {}
 
+  // The midpoint Gram of `m`.
+  static ShardedGramOperator Mid(const ShardedSparseIntervalMatrix& m) {
+    return ShardedGramOperator(m);
+  }
+
   size_t Dim() const override { return m_.cols(); }
 
   void Apply(const std::vector<double>& x,
              std::vector<double>& y) const override {
-    m_.GramMultiply(endpoint_, x, y);
+    if (endpoint_) {
+      m_.GramMultiply(*endpoint_, x, y);
+      return;
+    }
+    m_.MultiplyMid(x, scratch_);
+    m_.MultiplyTransposeMid(scratch_, y);
   }
 
  private:
+  explicit ShardedGramOperator(const ShardedSparseIntervalMatrix& m)
+      : m_(m) {}
+
   const ShardedSparseIntervalMatrix& m_;
-  ShardedSparseIntervalMatrix::Endpoint endpoint_;
-};
-
-// An endpoint (or midpoint) matrix of a sharded store as a rectangular
-// LinearMap — the input to the Golub-Kahan-Lanczos SVD behind ISVD0/1.
-// ApplyTranspose runs the scatter reduction (no transposed store exists).
-class ShardedEndpointMap final : public LinearMap {
- public:
-  enum class Part { kLower, kUpper, kMid };
-
-  ShardedEndpointMap(const ShardedSparseIntervalMatrix& m, Part part)
-      : m_(m), part_(part) {}
-
-  size_t Rows() const override { return m_.rows(); }
-  size_t Cols() const override { return m_.cols(); }
-
-  void Apply(const std::vector<double>& x,
-             std::vector<double>& y) const override {
-    switch (part_) {
-      case Part::kLower:
-        m_.Multiply(ShardedSparseIntervalMatrix::Endpoint::kLower, x, y);
-        break;
-      case Part::kUpper:
-        m_.Multiply(ShardedSparseIntervalMatrix::Endpoint::kUpper, x, y);
-        break;
-      case Part::kMid:
-        m_.MultiplyMid(x, y);
-        break;
-    }
-  }
-
-  void ApplyTranspose(const std::vector<double>& x,
-                      std::vector<double>& y) const override {
-    switch (part_) {
-      case Part::kLower:
-        m_.MultiplyTranspose(ShardedSparseIntervalMatrix::Endpoint::kLower, x,
-                             y);
-        break;
-      case Part::kUpper:
-        m_.MultiplyTranspose(ShardedSparseIntervalMatrix::Endpoint::kUpper, x,
-                             y);
-        break;
-      case Part::kMid:
-        m_.MultiplyTransposeMid(x, y);
-        break;
-    }
-  }
-
- private:
-  const ShardedSparseIntervalMatrix& m_;
-  Part part_;
+  // Empty for the midpoint Gram.
+  std::optional<ShardedSparseIntervalMatrix::Endpoint> endpoint_;
+  // M_mid x between the two midpoint passes. Per instance, so concurrent
+  // solves on separate operators stay independent.
+  mutable std::vector<double> scratch_;
 };
 
 }  // namespace ivmf

@@ -1,14 +1,15 @@
 // Degenerate-input coverage for the sparse matrix-free ISVD path,
 // mirroring the dense tests/isvd_edge_test.cc: empty shapes, all-zero
 // matrices, rank clamping, all-zero rows, single row/column — the guards
-// the sparse RunIsvd / LanczosSvd entry points previously lacked.
+// the sparse RunIsvd / Lanczos entry points previously lacked.
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 #include "base/rng.h"
 #include "core/sparse_isvd.h"
-#include "linalg/lanczos_svd.h"
+#include "linalg/lanczos.h"
+#include "linalg/linear_operator.h"
 #include "sparse/sparse_interval_matrix.h"
 
 namespace ivmf {
@@ -126,17 +127,17 @@ TEST_P(SparseIsvdEdgeTest, SingleColumnMatrix) {
 INSTANTIATE_TEST_SUITE_P(Strategies, SparseIsvdEdgeTest,
                          ::testing::Values(0, 1, 2, 3, 4));
 
-TEST(LanczosSvdEdgeTest, EmptyOperatorReturnsEmptyDecomposition) {
-  const SvdResult result = ComputeLanczosSvd(Matrix(0, 0), 3);
-  EXPECT_TRUE(result.sigma.empty());
-  EXPECT_EQ(result.u.rows(), 0u);
-  EXPECT_EQ(result.v.rows(), 0u);
+TEST(LanczosEdgeTest, EmptyOperatorReturnsEmptyDecomposition) {
+  // A 0-dimension operator (the Gram of an n x 0 matrix) yields the empty
+  // eigendecomposition, shaped to match; the sparse entry points return
+  // before reaching it (EmptyShapeReturnsRankZero above).
+  const Matrix empty(0, 0);
+  const EigResult result = ComputeLanczosEig(DenseSymmetricOperator(empty), 3);
+  EXPECT_TRUE(result.eigenvalues.empty());
+  EXPECT_EQ(result.eigenvectors.rows(), 0u);
+  EXPECT_EQ(result.eigenvectors.cols(), 0u);
+  EXPECT_EQ(result.iterations, 0u);
   EXPECT_FALSE(result.truncated);
-
-  const SvdResult wide = ComputeLanczosSvd(Matrix(0, 5), 2);
-  EXPECT_TRUE(wide.sigma.empty());
-  EXPECT_EQ(wide.v.rows(), 5u);
-  EXPECT_EQ(wide.v.cols(), 0u);
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // Property tests for the sparse matrix-free ISVD path: decomposing through
-// the sparse route (Golub–Kahan–Lanczos SVD for ISVD0/ISVD1, the Lanczos
-// Gram operator or the four-product signed Gram for ISVD2–ISVD4) must agree
-// with the dense pipeline to 1e-8 — for every strategy 0–4, every
-// decomposition target (a, b, c), and both sign regimes (entrywise
-// non-negative and signed). Reconstructions are compared (they are
-// invariant to the eigenvector sign/permutation freedom the factor matrices
-// themselves carry), together with the interval core. Rank-deficient inputs
-// (exactly low-rank factors, all-zero endpoints) exercise the Krylov
-// breakdown-restart paths; duplicate-singular-value inputs pin the
-// degenerate-cluster behavior through the rotation-invariant
-// reconstruction.
+// the sparse route (Lanczos on the midpoint Gram for ISVD0 and on the
+// per-endpoint Grams for ISVD1, the Lanczos Gram operator or the
+// four-product signed Gram for ISVD2–ISVD4) must agree with the dense
+// pipeline to 1e-8 — for every strategy 0–4, every decomposition target
+// (a, b, c), and both sign regimes (entrywise non-negative and signed).
+// Reconstructions are compared (they are invariant to the eigenvector
+// sign/permutation freedom the factor matrices themselves carry), together
+// with the interval core. Rank-deficient inputs (exactly low-rank factors,
+// all-zero endpoints) exercise the Krylov breakdown-restart paths;
+// duplicate-singular-value inputs pin the degenerate-cluster behavior
+// through the rotation-invariant reconstruction. The block-row store runs
+// the same family at 32-row shards, memory- and mmap-backed, against the
+// CSR entry point; and ISVD0/ISVD1 hold recorded values on a fixture whose
+// trailing triplets depend on the Krylov start vector.
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +24,8 @@
 #include "core/isvd.h"
 #include "core/sparse_isvd.h"
 #include "data/ratings.h"
+#include "sparse/block_matrix.h"
+#include "sparse/shard_store.h"
 #include "sparse/sparse_interval_matrix.h"
 #include "test_util.h"
 
@@ -80,8 +87,9 @@ void ExpectResultsAgree(const IsvdResult& dense, const IsvdResult& sparse,
 // The full strategy-family harness: (strategy 0..4) x (target a, b, c) x
 // (non-negative, signed). The dense reference runs the exact solvers
 // (one-sided Jacobi SVD / Jacobi eig); the sparse route runs matrix-free
-// (Golub–Kahan–Lanczos SVD for 0–1, the Lanczos Gram operator for 2–4 on
-// non-negative data, the four-product signed Gram otherwise). Inputs are
+// (Lanczos on the midpoint or endpoint Grams for 0–1, the Lanczos Gram
+// operator for 2–4 on non-negative data, the four-product signed Gram
+// otherwise). Inputs are
 // exactly rank-k, so they double as rank-deficient coverage: the Krylov
 // bases break down before reaching their cap and must restart cleanly.
 class SparseDenseAgreement
@@ -369,6 +377,158 @@ TEST(SparseIsvdTest, GramEigLanczosLeavesGramEmpty) {
   const IsvdResult r3 = Isvd3(sparse, 3, gram, options);
   EXPECT_EQ(r2.rank(), 3u);
   EXPECT_EQ(r3.rank(), 3u);
+}
+
+// The block-row store end to end: RunIsvd over a matrix copied into 32-row
+// shards, memory- or mmap-backed, must agree with the CSR entry point — the
+// same code on a zero-copy view whose partition ViewShardRows picks — for
+// every strategy 0-4 and both sign regimes. Only the reduction grouping of
+// the Gram/transpose applies differs (roundoff, amplified through the
+// eigensolve; compared at the sparse-vs-dense agreement bound). The CSR
+// reference pins GramSide::kMtM because the store overloads have no MMᵀ
+// side (no transposed store exists). The mmap pass is the out-of-core
+// decompose path, which must be numerically indistinguishable from the
+// in-memory one.
+SparseIntervalMatrix MakeSparseFixture(size_t rows, size_t cols, double fill,
+                                       bool signed_values, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<IntervalTriplet> triplets;
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      if (rng.Uniform() >= fill) continue;
+      const double a =
+          signed_values ? rng.Uniform(-2.0, 2.0) : rng.Uniform(0.5, 4.0);
+      triplets.push_back({i, j, Interval(a, a + rng.Uniform())});
+    }
+  }
+  return SparseIntervalMatrix::FromTriplets(rows, cols, std::move(triplets));
+}
+
+class ShardedStoreAgreement
+    : public ::testing::TestWithParam<::testing::tuple<int, bool, bool>> {};
+
+TEST_P(ShardedStoreAgreement, ShardedStrategyMatchesCsrEntryPoint) {
+  const int strategy = ::testing::get<0>(GetParam());
+  const bool signed_values = ::testing::get<1>(GetParam());
+  const bool mmap = ::testing::get<2>(GetParam());
+
+  const size_t rows = 120, cols = 40, rank = 5;
+  const SparseIntervalMatrix csr = MakeSparseFixture(
+      rows, cols, 0.2, signed_values,
+      900 + 10 * static_cast<uint64_t>(strategy) + signed_values);
+  ASSERT_EQ(csr.IsNonNegative(), !signed_values);
+
+  IsvdOptions options;
+  options.target = DecompositionTarget::kB;
+  options.eig_solver = EigSolver::kLanczos;
+  options.gram_side = GramSide::kMtM;
+
+  const IsvdResult reference = RunIsvd(strategy, csr, rank, options);
+
+  // Unaligned partition: 120 rows in shards of 32 leaves a 24-row tail.
+  const ShardedSparseIntervalMatrix store =
+      ShardedSparseIntervalMatrix::FromCsr(
+          csr, 32, mmap ? BackingPolicy::Mmap() : BackingPolicy::Memory());
+  ASSERT_EQ(store.mmap_backed(), mmap);
+  ExpectResultsAgree(reference, RunIsvd(strategy, store, rank, options),
+                     1e-8);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategiesSignsAndBackings, ShardedStoreAgreement,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ShardedStoreAgreement::ParamType>&
+           info) {
+      return "Isvd" + std::to_string(::testing::get<0>(info.param)) +
+             (::testing::get<1>(info.param) ? "_Signed" : "_NonNegative") +
+             (::testing::get<2>(info.param) ? "_Mmap" : "_Memory");
+    });
+
+// A fixed-weight sum over the cells of a reconstruction endpoint: moves
+// with every returned triplet, the trailing ones included.
+double ReconstructionChecksum(const Matrix& r) {
+  double sum = 0.0;
+  for (size_t i = 0; i < r.rows(); ++i) {
+    for (size_t j = 0; j < r.cols(); ++j) {
+      sum += r(i, j) * (1.0 + static_cast<double>((i * 31 + j * 17) % 7));
+    }
+  }
+  return sum;
+}
+
+void ExpectRelativelyNear(double got, double want, const std::string& what) {
+  EXPECT_NEAR(got, want, 1e-10 * std::fabs(want)) << what;
+}
+
+// ISVD0/ISVD1 start each Gram solve from Golub–Kahan's start vector
+// v₀ = Mᵀr / ‖Mᵀr‖, r drawn over the rows from Rng(lanczos.seed), so they
+// reproduce the values of the Golub–Kahan–Lanczos SVD they replaced. On
+// this 400 x 150 CF fixture the default step cap leaves the trailing
+// triplets unconverged (σ₁₀ sits ~4e-7 relative off a full-dimension
+// solve), so a solve from any other start vector lands elsewhere. The
+// values are those of the Golub–Kahan route at %.17g; they hold at 1e-10
+// relative.
+TEST(SparseIsvdFamilyTest, Isvd01KeepTheGolubKahanStartVector) {
+  RatingsConfig config;
+  config.num_users = 400;
+  config.num_items = 150;
+  config.fill = 0.2;
+  config.seed = 41;
+  const SparseIntervalMatrix m =
+      SparseCfIntervalMatrix(GenerateSparseRatings(config), 0.3);
+  ASSERT_EQ(m.nnz(), 12032u);
+
+  IsvdOptions options;
+  options.target = DecompositionTarget::kB;
+  options.eig_solver = EigSolver::kLanczos;
+
+  struct Pinned {
+    int strategy;
+    double sigma[10][2];  // (lo, hi)
+    double checksum[2];   // lower, upper reconstruction
+  };
+  const Pinned pins[] = {
+      {0,
+       {{151.5890054361559, 151.5890054361559},
+        {40.665173204577457, 40.665173204577457},
+        {40.071940614869419, 40.071940614869419},
+        {39.208151662386761, 39.208151662386761},
+        {38.50769691917727, 38.50769691917727},
+        {38.256457827014366, 38.256457827014366},
+        {38.041376690227438, 38.041376690227438},
+        {37.943499186076984, 37.943499186076984},
+        {37.695913787737219, 37.695913787737219},
+        {37.166550082886353, 37.166550082886353}},
+       {144893.77401077122, 144893.77401077122}},
+      {1,
+       {{139.0030375994458, 164.17416540223965},
+        {36.703963540194138, 42.363509305628561},
+        {35.997960610191235, 41.534683886535561},
+        {35.947960110082107, 41.825175718014208},
+        {35.305329235627276, 41.131223918238561},
+        {34.97550399683707, 40.73284078500896},
+        {32.879492127381162, 38.19462336778755},
+        {31.320563506553853, 36.432461328872641},
+        {32.544980379961196, 37.775052549611814},
+        {33.452782763175506, 38.90294367199953}},
+       {132646.895940455, 157124.51065973245}},
+  };
+  for (const Pinned& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << "strategy " << pin.strategy);
+    const IsvdResult result = RunIsvd(pin.strategy, m, 10, options);
+    ASSERT_EQ(result.rank(), 10u);
+    for (size_t j = 0; j < 10; ++j) {
+      const std::string what = "sigma " + std::to_string(j);
+      ExpectRelativelyNear(result.sigma[j].lo, pin.sigma[j][0], what + ".lo");
+      ExpectRelativelyNear(result.sigma[j].hi, pin.sigma[j][1], what + ".hi");
+    }
+    const IntervalMatrix recon = result.Reconstruct();
+    ExpectRelativelyNear(ReconstructionChecksum(recon.lower()),
+                         pin.checksum[0], "checksum.lo");
+    ExpectRelativelyNear(ReconstructionChecksum(recon.upper()),
+                         pin.checksum[1], "checksum.hi");
+  }
 }
 
 }  // namespace

@@ -109,9 +109,12 @@ struct TripletReference {
     for (const auto& t : entries) y[t.col] += Mid(t) * x[t.row];
     return y;
   }
-  // A_eᵀ (A_e x).
+  // A_eᵀ (A_e x), and the midpoint Gram A_midᵀ (A_mid x).
   std::vector<double> Gram(Endpoint e, const std::vector<double>& x) const {
     return MatVecT(e, MatVec(e, x));
+  }
+  std::vector<double> GramMid(const std::vector<double>& x) const {
+    return MatVecTMid(MatVecMid(x));
   }
   // A_e B (b is cols x k) and A_eᵀ B (b is rows x k).
   Matrix MatDense(Endpoint e, const Matrix& b) const {
@@ -257,7 +260,8 @@ inline void ExpectDenseMatches(const TripletReference& ref,
 }
 
 // The fused Gram apply, directly and through the ShardedGramOperator every
-// sparse ISVD2-4 iterates.
+// sparse ISVD1-4 iterates, and the two-pass midpoint Gram operator ISVD0
+// iterates (applied twice, so its scratch vector is reused).
 inline void ExpectGramMatches(const TripletReference& ref,
                               const ShardedSparseIntervalMatrix& store,
                               const std::vector<double>& x,
@@ -269,6 +273,12 @@ inline void ExpectGramMatches(const TripletReference& ref,
     ExpectVectorNear(y, want, what + "/GramMultiply");
     ShardedGramOperator(store, e).Apply(x, y);
     ExpectVectorNear(y, want, what + "/ShardedGramOperator");
+  }
+  const std::vector<double> want_mid = ref.GramMid(x);
+  const ShardedGramOperator mid = ShardedGramOperator::Mid(store);
+  for (int call = 0; call < 2; ++call) {
+    mid.Apply(x, y);
+    ExpectVectorNear(y, want_mid, what + "/ShardedGramOperator::Mid");
   }
 }
 
