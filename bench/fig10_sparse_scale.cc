@@ -17,10 +17,10 @@
 //   bench_fig10_sparse_scale [--rank=10] [--strategy=-1] [--fill_pct=5]
 //                            [--alpha_pct=30] [--max_cells=100000000]
 //                            [--dense_limit=1500000] [--json[=PATH]]
-//                            [--kernel=auto|scalar|avx2]
+//                            [--kernel=avx2|scalar]
 //
-// --kernel pins the sparse kernel backend for the CF matrix (default: the
-// auto dispatch, i.e. AVX2 when the CPU has it); every record carries the
+// --kernel pins the sparse kernel backend for the CF matrix (default avx2,
+// which runs scalar on a CPU without AVX2); every record carries the
 // variant that actually ran as "kernel".
 //
 // --json emits one record per (shape, strategy) row (see bench_util.h's
@@ -46,10 +46,10 @@ int main(int argc, char** argv) {
   const double alpha = IntFlag(argc, argv, "alpha_pct", 30) / 100.0;
   const double max_cells = IntFlag(argc, argv, "max_cells", 100000000);
   const double dense_limit = IntFlag(argc, argv, "dense_limit", 1500000);
-  const std::string kernel_flag = StringFlag(argc, argv, "kernel", "auto");
-  spk::Backend kernel = spk::Backend::kAuto;
+  const std::string kernel_flag = StringFlag(argc, argv, "kernel", "avx2");
+  spk::Backend kernel = spk::Backend::kAvx2;
   if (!spk::ParseBackend(kernel_flag, &kernel)) {
-    std::fprintf(stderr, "error: unknown --kernel=%s (auto|scalar|avx2)\n",
+    std::fprintf(stderr, "error: unknown --kernel=%s (scalar|avx2)\n",
                  kernel_flag.c_str());
     return 1;
   }

@@ -147,7 +147,7 @@ BENCHMARK(BM_Isvd4FullPipeline)->Arg(60)->Arg(120)->Arg(250);
 // log are visible (and sanity-checkable) at kernel granularity.
 
 SparseIntervalMatrix CfMatrix(size_t users,
-                              spk::Backend backend = spk::Backend::kAuto) {
+                              spk::Backend backend = spk::Backend::kAvx2) {
   RatingsConfig config;
   config.num_users = users;
   config.num_items = users / 4;
@@ -161,7 +161,7 @@ SparseIntervalMatrix CfMatrix(size_t users,
 
 // A View of CfMatrix(users) on `backend`, with the ViewShardRows partition.
 ShardedSparseIntervalMatrix CfView(size_t users,
-                                   spk::Backend backend = spk::Backend::kAuto) {
+                                   spk::Backend backend = spk::Backend::kAvx2) {
   return ShardedSparseIntervalMatrix::View(
       std::make_shared<const SparseIntervalMatrix>(CfMatrix(users, backend)),
       ShardedSparseIntervalMatrix::ViewShardRows(users));
@@ -184,7 +184,7 @@ void ReportMatvecCounters(benchmark::State& state,
 }
 
 // The matvec and Gram benchmarks run once per backend: the plain name is
-// the dispatched (auto) path — what every solver call site gets — and the
+// the default avx2 request — what every solver call site gets — and the
 // Scalar suffix pins the portable reference, so the speedup is measurable
 // from one JSON file. Labels carry the variant the backend resolved to on
 // this machine.
@@ -203,7 +203,7 @@ void SparseMultiplyBench(benchmark::State& state, spk::Backend backend) {
                           static_cast<int64_t>(m.nnz()));
 }
 void BM_SparseMultiply(benchmark::State& state) {
-  SparseMultiplyBench(state, spk::Backend::kAuto);
+  SparseMultiplyBench(state, spk::Backend::kAvx2);
 }
 void BM_SparseMultiplyScalar(benchmark::State& state) {
   SparseMultiplyBench(state, spk::Backend::kScalar);
@@ -259,7 +259,7 @@ void SparseGramApplyBench(benchmark::State& state, spk::Backend backend) {
                           static_cast<int64_t>(m.nnz()));
 }
 void BM_SparseGramApply(benchmark::State& state) {
-  SparseGramApplyBench(state, spk::Backend::kAuto);
+  SparseGramApplyBench(state, spk::Backend::kAvx2);
 }
 void BM_SparseGramApplyScalar(benchmark::State& state) {
   SparseGramApplyBench(state, spk::Backend::kScalar);
@@ -430,12 +430,10 @@ bool RunKernelSelfCheck() {
   for (size_t users : {501u, 4000u}) {
     const ShardedSparseIntervalMatrix scalar =
         CfView(users, spk::Backend::kScalar);
-    for (spk::Backend backend : {spk::Backend::kAuto, spk::Backend::kAvx2}) {
-      ok &= CheckBackendAgainstScalar(scalar, users, backend);
-    }
+    ok &= CheckBackendAgainstScalar(scalar, users, spk::Backend::kAvx2);
   }
   std::fprintf(stderr, "kernel self-check (dispatched=%s): %s\n",
-               spk::BackendName(spk::Resolve(spk::Backend::kAuto)),
+               spk::BackendName(spk::Resolve(spk::Backend::kAvx2)),
                ok ? "OK" : "FAILED");
   return ok;
 }

@@ -8,7 +8,6 @@
 #include "base/stopwatch.h"
 #include "core/isvd_internal.h"
 #include "interval/interval_ops.h"
-#include "linalg/pinv.h"
 
 namespace ivmf {
 namespace {
@@ -17,23 +16,20 @@ size_t ClampRank(const IntervalMatrix& m, size_t rank) {
   return isvd_internal::ClampRank(m.rows(), m.cols(), rank);
 }
 
-// U = M * V * diag(1/sigma): the SVD identity U = M (Vᵀ)⁻¹ Σ⁻¹ specialised
-// to V with orthonormal columns (where pinv(Vᵀ) = V). Columns with zero
-// singular value become zero vectors.
-Matrix RecoverLeftFactor(const Matrix& m, const Matrix& v,
-                         const std::vector<double>& sigma) {
-  Matrix u = m * v;  // n x r
-  isvd_internal::ScaleColumnsByInverseSigma(u, sigma);
-  return u;
-}
-
 GramSide ResolveSide(const IntervalMatrix& m, GramSide side) {
   if (side != GramSide::kAuto) return side;
   return m.cols() <= m.rows() ? GramSide::kMtM : GramSide::kMMt;
 }
 
-void SwapFactors(IsvdResult& result) {
+// Runs `body` on the work matrix of `gram` — M†, or M†ᵀ on the kMMt route —
+// and swaps the factors back for the transpose.
+template <typename Body>
+IsvdResult OnGramWork(const IntervalMatrix& m, const GramEig& gram,
+                      Body body) {
+  if (!gram.transposed) return body(m);
+  IsvdResult result = body(m.Transpose());
   std::swap(result.u, result.v);
+  return result;
 }
 
 }  // namespace
@@ -69,10 +65,67 @@ void AlignMinSide(const IlsaResult& ilsa, Matrix* u_lo, Matrix* v_lo,
 }
 
 void ScaleColumnsByInverseSigma(Matrix& u, const std::vector<double>& sigma) {
-  for (size_t j = 0; j < u.cols(); ++j) {
-    const double inv = sigma[j] > 1e-300 ? 1.0 / sigma[j] : 0.0;
-    for (size_t i = 0; i < u.rows(); ++i) u(i, j) *= inv;
+  const size_t r = u.cols();
+  std::vector<double> inv(r);
+  for (size_t j = 0; j < r; ++j)
+    inv[j] = sigma[j] > 1e-300 ? 1.0 / sigma[j] : 0.0;
+  for (size_t i = 0; i < u.rows(); ++i) {
+    double* row = u.RowPtr(i);
+    for (size_t j = 0; j < r; ++j) row[j] *= inv[j];
   }
+}
+
+Matrix EndpointTimes(const IntervalMatrix& m, bool upper, const Matrix& b) {
+  return (upper ? m.upper() : m.lower()) * b;
+}
+
+IntervalMatrix IntervalTimes(const IntervalMatrix& m, const Matrix& b) {
+  return IntervalMatMul(m, b);
+}
+
+IntervalMatrix LeftTimesTransposed(const Matrix& s, const IntervalMatrix& m) {
+  return IntervalMatMul(s, m).Transpose();
+}
+
+LanczosOptions EndpointLanczos(const IsvdOptions& options, bool upper) {
+  LanczosOptions lanczos = options.lanczos;
+  const Matrix& warm = upper ? options.warm_basis_hi : options.warm_basis_lo;
+  if (warm.cols() > 0) lanczos.start_basis = warm;
+  return lanczos;
+}
+
+void CheckSpectraComplete(const GramEig& gram) {
+  IVMF_CHECK_MSG(!gram.lo.truncated && !gram.hi.truncated,
+                 "Lanczos truncated a Gram endpoint spectrum "
+                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
+}
+
+void EigGramEndpoints(GramEig& gram, size_t rank, bool use_lanczos,
+                      const IsvdOptions& options) {
+  // The two endpoint eigendecompositions are independent; run them on two
+  // threads (ParallelFor keeps the serial path when only one core exists).
+  ParallelFor(0, 2, [&](size_t side) {
+    const bool upper = side == 1;
+    const Matrix& endpoint = upper ? gram.gram.upper() : gram.gram.lower();
+    (upper ? gram.hi : gram.lo) =
+        use_lanczos
+            ? ComputeLanczosEig(endpoint, rank, EndpointLanczos(options, upper))
+            : ComputeSymmetricEig(endpoint, rank, options.eig);
+  });
+  gram.iterations = gram.lo.iterations + gram.hi.iterations;
+  CheckSpectraComplete(gram);
+}
+
+IsvdResult AlignAndBuild(SvdResult lo, SvdResult hi,
+                         const IsvdOptions& options, PhaseTimings timings) {
+  Stopwatch sw;
+  const IlsaResult ilsa = ComputeIlsa(lo.v, hi.v, options.ilsa);
+  AlignMinSide(ilsa, &lo.u, &lo.v, &lo.sigma);
+  timings.align = sw.Seconds();
+  return BuildResult(IntervalMatrix(std::move(lo.u), std::move(hi.u)),
+                     MakeIntervalDiag(lo.sigma, hi.sigma),
+                     IntervalMatrix(std::move(lo.v), std::move(hi.v)),
+                     options.target, timings);
 }
 
 IsvdResult BuildResult(IntervalMatrix u, std::vector<Interval> sigma,
@@ -114,13 +167,6 @@ IsvdResult BuildResult(IntervalMatrix u, std::vector<Interval> sigma,
 }
 
 }  // namespace isvd_internal
-
-namespace {
-using isvd_internal::AlignMinSide;
-using isvd_internal::BuildResult;
-using isvd_internal::MakeIntervalDiag;
-using isvd_internal::SqrtClamped;
-}  // namespace
 
 PhaseTimings& PhaseTimings::operator+=(const PhaseTimings& other) {
   preprocess += other.preprocess;
@@ -218,19 +264,8 @@ IsvdResult Isvd1(const IntervalMatrix& m, size_t rank,
     }
   });
   timings.decompose = sw.Seconds();
-
-  sw.Restart();
-  const IlsaResult ilsa = ComputeIlsa(lo.v, hi.v, options.ilsa);
-  Matrix u_lo = lo.u;
-  Matrix v_lo = lo.v;
-  std::vector<double> s_lo = lo.sigma;
-  AlignMinSide(ilsa, &u_lo, &v_lo, &s_lo);
-  timings.align = sw.Seconds();
-
-  return BuildResult(IntervalMatrix(std::move(u_lo), hi.u),
-                     MakeIntervalDiag(s_lo, hi.sigma),
-                     IntervalMatrix(std::move(v_lo), hi.v), options.target,
-                     timings);
+  return isvd_internal::AlignAndBuild(std::move(lo), std::move(hi), options,
+                                      timings);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,11 +274,9 @@ IsvdResult Isvd1(const IntervalMatrix& m, size_t rank,
 
 GramEig ComputeGramEig(const IntervalMatrix& m, size_t rank,
                        const IsvdOptions& options) {
-  const GramSide side = ResolveSide(m, options.gram_side);
-  const IntervalMatrix& input = m;
   GramEig result;
-  result.transposed = (side == GramSide::kMMt);
-  const IntervalMatrix work = result.transposed ? input.Transpose() : input;
+  result.transposed = ResolveSide(m, options.gram_side) == GramSide::kMMt;
+  const IntervalMatrix work = result.transposed ? m.Transpose() : m;
   const size_t r = ClampRank(work, rank);
 
   Stopwatch sw;
@@ -260,24 +293,8 @@ GramEig ComputeGramEig(const IntervalMatrix& m, size_t rank,
     use_lanczos = 4 * r < result.gram.rows();
   }
 
-  // The two endpoint eigendecompositions are independent; run them on two
-  // threads (ParallelFor keeps the serial path when only one core exists).
   sw.Restart();
-  ParallelFor(0, 2, [&](size_t side) {
-    const Matrix& endpoint =
-        side == 0 ? result.gram.lower() : result.gram.upper();
-    LanczosOptions lanczos = options.lanczos;
-    const Matrix& warm =
-        side == 0 ? options.warm_basis_lo : options.warm_basis_hi;
-    if (warm.cols() > 0) lanczos.start_basis = warm;
-    EigResult& out = side == 0 ? result.lo : result.hi;
-    out = use_lanczos ? ComputeLanczosEig(endpoint, r, lanczos)
-                      : ComputeSymmetricEig(endpoint, r, options.eig);
-  });
-  result.iterations = result.lo.iterations + result.hi.iterations;
-  IVMF_CHECK_MSG(!result.lo.truncated && !result.hi.truncated,
-                 "Lanczos truncated a Gram endpoint spectrum "
-                 "(restart exhausted; see LanczosOptions::restart_tolerance)");
+  isvd_internal::EigGramEndpoints(result, r, use_lanczos, options);
   result.decompose_seconds = sw.Seconds();
   return result;
 }
@@ -301,40 +318,15 @@ GramEig TruncateGramEig(const GramEig& full, size_t rank) {
 }
 
 // ---------------------------------------------------------------------------
-// ISVD2 — decompose, solve, align (Section 4.3).
+// ISVD2–ISVD4 (Sections 4.3–4.5): the shared bodies of core/isvd_internal.h
+// on the Gram's work matrix. `rank` is baked into `gram`.
 // ---------------------------------------------------------------------------
 
-IsvdResult Isvd2(const IntervalMatrix& m, size_t rank, const GramEig& gram,
+IsvdResult Isvd2(const IntervalMatrix& m, size_t, const GramEig& gram,
                  const IsvdOptions& options) {
-  (void)rank;  // rank is baked into `gram`
-  const IntervalMatrix work = gram.transposed ? m.Transpose() : m;
-  PhaseTimings timings;
-  timings.preprocess = gram.preprocess_seconds;
-  timings.decompose = gram.decompose_seconds;
-
-  Matrix v_lo = gram.lo.eigenvectors;
-  Matrix v_hi = gram.hi.eigenvectors;
-  std::vector<double> s_lo = SqrtClamped(gram.lo.eigenvalues);
-  std::vector<double> s_hi = SqrtClamped(gram.hi.eigenvalues);
-
-  // Recover the left factors from the SVD identity (Section 4.3.2).
-  Stopwatch sw;
-  Matrix u_lo = RecoverLeftFactor(work.lower(), v_lo, s_lo);
-  Matrix u_hi = RecoverLeftFactor(work.upper(), v_hi, s_hi);
-  timings.solve = sw.Seconds();
-
-  sw.Restart();
-  const IlsaResult ilsa = ComputeIlsa(v_lo, v_hi, options.ilsa);
-  AlignMinSide(ilsa, &u_lo, &v_lo, &s_lo);
-  timings.align = sw.Seconds();
-
-  IsvdResult result = BuildResult(IntervalMatrix(std::move(u_lo), std::move(u_hi)),
-                                  MakeIntervalDiag(s_lo, s_hi),
-                                  IntervalMatrix(std::move(v_lo), std::move(v_hi)),
-                                  options.target, timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
-  return result;
+  return OnGramWork(m, gram, [&](const IntervalMatrix& work) {
+    return isvd_internal::Isvd2FromGram(work, gram, options);
+  });
 }
 
 IsvdResult Isvd2(const IntervalMatrix& m, size_t rank,
@@ -342,68 +334,12 @@ IsvdResult Isvd2(const IntervalMatrix& m, size_t rank,
   return Isvd2(m, rank, ComputeGramEig(m, rank, options), options);
 }
 
-// ---------------------------------------------------------------------------
-// ISVD3 — decompose, align, solve (Section 4.4).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// The common ISVD3/ISVD4 front half: align the eigen-side factors and solve
-// for the interval-valued left factor U† = M† (V†ᵀ)⁻¹ Σ†⁻¹.
-struct SolvedLeft {
-  IntervalMatrix u;             // interval left factor
-  IntervalMatrix v;             // aligned eigen-side factor
-  std::vector<Interval> sigma;  // aligned interval core diagonal
-  Matrix sigma_inv;             // scalar optimal inverse of Σ† (Algorithm 4)
-  PhaseTimings timings;
-};
-
-SolvedLeft SolveLeftFactor(const IntervalMatrix& work, const GramEig& gram,
-                           const IsvdOptions& options) {
-  SolvedLeft out;
-  out.timings.preprocess = gram.preprocess_seconds;
-  out.timings.decompose = gram.decompose_seconds;
-
-  Matrix v_lo = gram.lo.eigenvectors;
-  const Matrix& v_hi = gram.hi.eigenvectors;
-  std::vector<double> s_lo = SqrtClamped(gram.lo.eigenvalues);
-  const std::vector<double> s_hi = SqrtClamped(gram.hi.eigenvalues);
-
-  Stopwatch sw;
-  const IlsaResult ilsa = ComputeIlsa(v_lo, v_hi, options.ilsa);
-  AlignMinSide(ilsa, /*u_lo=*/nullptr, &v_lo, &s_lo);
-  out.timings.align = sw.Seconds();
-
-  out.v = IntervalMatrix(std::move(v_lo), v_hi);
-  out.sigma = MakeIntervalDiag(s_lo, s_hi);
-
-  // Solve U† = M† ((V†)ᵀ)⁻¹ (Σ†)⁻¹ (Section 4.4.2). (V†ᵀ)⁻¹ is
-  // approximated through the averaged factor (Section 4.4.2.2): plain
-  // inverse when square and well-conditioned, else the Moore–Penrose
-  // pseudo-inverse with the paper's 0.1 singular-value cutoff.
-  sw.Restart();
-  const Matrix v_avg = out.v.Mid();
-  const Matrix vt_inv = RobustInverse(v_avg.Transpose(),
-                                      options.cond_threshold);  // m x r
-  out.sigma_inv = Matrix::Diagonal(InverseIntervalDiagonal(out.sigma));
-  out.u = IntervalMatMul(work, vt_inv * out.sigma_inv);
-  out.timings.solve = sw.Seconds();
-  return out;
-}
-
-}  // namespace
-
-IsvdResult Isvd3(const IntervalMatrix& m, size_t rank, const GramEig& gram,
+IsvdResult Isvd3(const IntervalMatrix& m, size_t, const GramEig& gram,
                  const IsvdOptions& options) {
-  (void)rank;  // rank is baked into `gram`
-  const IntervalMatrix work = gram.transposed ? m.Transpose() : m;
-  SolvedLeft solved = SolveLeftFactor(work, gram, options);
-  IsvdResult result =
-      BuildResult(std::move(solved.u), std::move(solved.sigma),
-                  std::move(solved.v), options.target, solved.timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
-  return result;
+  return OnGramWork(m, gram, [&](const IntervalMatrix& work) {
+    return isvd_internal::Isvd34FromGram(work, gram, options,
+                                         /*recompute=*/false);
+  });
 }
 
 IsvdResult Isvd3(const IntervalMatrix& m, size_t rank,
@@ -411,32 +347,12 @@ IsvdResult Isvd3(const IntervalMatrix& m, size_t rank,
   return Isvd3(m, rank, ComputeGramEig(m, rank, options), options);
 }
 
-// ---------------------------------------------------------------------------
-// ISVD4 — decompose, align, solve, recompute (Section 4.5).
-// ---------------------------------------------------------------------------
-
-IsvdResult Isvd4(const IntervalMatrix& m, size_t rank, const GramEig& gram,
+IsvdResult Isvd4(const IntervalMatrix& m, size_t, const GramEig& gram,
                  const IsvdOptions& options) {
-  (void)rank;
-  const IntervalMatrix work = gram.transposed ? m.Transpose() : m;
-  SolvedLeft solved = SolveLeftFactor(work, gram, options);
-
-  // Recompute V† from the solved U† (Section 4.5.1):
-  // V† = (Σ†⁻¹ (U†ᵀ)⁻¹ M†)ᵀ, with (U†ᵀ)⁻¹ approximated via the averaged
-  // factor exactly like the V inversion above.
-  Stopwatch sw;
-  const Matrix u_avg = solved.u.Mid();                      // n x r
-  const Matrix u_inv = RobustInverse(u_avg, options.cond_threshold);  // r x n
-  const IntervalMatrix v_recomputed =
-      IntervalMatMul(solved.sigma_inv * u_inv, work).Transpose();  // m x r
-  solved.timings.recompute = sw.Seconds();
-
-  IsvdResult result =
-      BuildResult(std::move(solved.u), std::move(solved.sigma), v_recomputed,
-                  options.target, solved.timings);
-  result.iterations = gram.iterations;
-  if (gram.transposed) SwapFactors(result);
-  return result;
+  return OnGramWork(m, gram, [&](const IntervalMatrix& work) {
+    return isvd_internal::Isvd34FromGram(work, gram, options,
+                                         /*recompute=*/true);
+  });
 }
 
 IsvdResult Isvd4(const IntervalMatrix& m, size_t rank,

@@ -5,8 +5,6 @@
 
 #include "base/stopwatch.h"
 #include "core/isvd_internal.h"
-#include "interval/interval_ops.h"
-#include "linalg/pinv.h"
 
 namespace ivmf {
 
@@ -17,8 +15,7 @@ IsvdResult LpIsvd(const IntervalMatrix& m, size_t rank,
                           (options.gram_side == GramSide::kAuto &&
                            m.cols() > m.rows());
   const IntervalMatrix work = transposed ? m.Transpose() : m;
-  const size_t full = std::min(work.rows(), work.cols());
-  const size_t r = (rank == 0 || rank > full) ? full : rank;
+  const size_t r = isvd_internal::ClampRank(work.rows(), work.cols(), rank);
 
   PhaseTimings timings;
   Stopwatch sw;
@@ -43,18 +40,15 @@ IsvdResult LpIsvd(const IntervalMatrix& m, size_t rank,
     sigma[j] = Interval(lo, hi);
   }
 
-  // U† recovery mirrors ISVD3 (Section 4.4.2).
+  // U† recovery is ISVD3's solve (Section 4.4.2).
   sw.Restart();
-  const IntervalMatrix& v = eig.eigenvectors;
-  const Matrix v_avg = v.Mid();
-  const Matrix vt_inv =
-      RobustInverse(v_avg.Transpose(), options.cond_threshold);
-  const Matrix sigma_inv = Matrix::Diagonal(InverseIntervalDiagonal(sigma));
-  IntervalMatrix u = IntervalMatMul(work, vt_inv * sigma_inv);
+  IntervalMatrix u = isvd_internal::SolveLeftFactor(
+      work, eig.eigenvectors, sigma, options.cond_threshold);
   timings.solve = sw.Seconds();
 
   IsvdResult result = isvd_internal::BuildResult(
-      std::move(u), std::move(sigma), v, options.target, timings);
+      std::move(u), std::move(sigma), eig.eigenvectors, options.target,
+      timings);
   if (transposed) std::swap(result.u, result.v);
   return result;
 }

@@ -5,8 +5,8 @@
 // shards, each an independent CSR segment with a packed 16/32-bit
 // column-index stream. Every kernel runs shard-parallel on the shared
 // ThreadPool, on the backend fixed at construction (spk::Resolve of the
-// source matrix's set_kernel request; kAuto — AVX2 when the CPU has it —
-// for Builder and OpenStore stores):
+// source matrix's set_kernel request; AVX2 when the CPU has it for Builder
+// and OpenStore stores):
 //
 //  - Forward kernels (Multiply / MultiplyMid / MultiplyDense /
 //    IntervalMultiplyDense) write disjoint row ranges, one task per shard;
@@ -236,8 +236,8 @@ class ShardedSparseIntervalMatrix {
   size_t shard_rows_ = 0;
   std::vector<Shard> shards_;
   std::shared_ptr<const SparseIntervalMatrix> base_;  // view backing only
-  // The backend every shard kernel runs (kAvx2 or kScalar, never kAuto).
-  spk::Backend backend_ = spk::Resolve(spk::Backend::kAuto);
+  // The backend every shard kernel runs (spk::Resolve of the request).
+  spk::Backend backend_ = spk::Resolve(spk::Backend::kAvx2);
   bool mmap_backed_ = false;
   std::string store_dir_;
   bool owns_store_ = false;

@@ -117,14 +117,14 @@ class SparseIntervalMatrix {
 
   // -- Kernel backend selection ----------------------------------------------
   // A block-row view of this matrix (sparse/block_matrix.h) runs its
-  // kernels on the backend requested here: kAuto (the default) is AVX2 when
-  // the CPU has it and scalar otherwise (sparse_kernels.h). Transpose()
-  // propagates the selection.
+  // kernels on the backend requested here: kAvx2 (the default) runs AVX2
+  // when the CPU has it and scalar otherwise (sparse_kernels.h).
+  // Transpose() propagates the selection.
 
   void set_kernel(spk::Backend backend) { kernel_ = backend; }
   spk::Backend kernel() const { return kernel_; }
 
-  // The backend the kernels run: spk::Resolve(kernel()), never kAuto.
+  // The backend the kernels run: spk::Resolve(kernel()).
   spk::Backend ResolvedKernel() const { return spk::Resolve(kernel_); }
 
   // y = A_e x (y resized to rows()), through a borrowed block-row view: the
@@ -169,7 +169,7 @@ class SparseIntervalMatrix {
   std::vector<size_t> col_idx_;  // nnz column indices, ascending per row
   std::vector<double> lo_;       // nnz lower endpoints
   std::vector<double> hi_;       // nnz upper endpoints
-  spk::Backend kernel_ = spk::Backend::kAuto;
+  spk::Backend kernel_ = spk::Backend::kAvx2;
   mutable std::shared_ptr<PackedSlot> packed_ = std::make_shared<PackedSlot>();
 };
 

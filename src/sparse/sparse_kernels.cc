@@ -27,8 +27,6 @@ bool ParseBackend(std::string_view name, Backend* out) {
     *out = Backend::kScalar;
   } else if (name == "avx2") {
     *out = Backend::kAvx2;
-  } else if (name == "auto") {
-    *out = Backend::kAuto;
   } else {
     return false;
   }
@@ -37,8 +35,6 @@ bool ParseBackend(std::string_view name, Backend* out) {
 
 const char* BackendName(Backend backend) {
   switch (backend) {
-    case Backend::kAuto:
-      return "auto";
     case Backend::kScalar:
       return "scalar";
     case Backend::kAvx2:

@@ -20,9 +20,9 @@
 //            reached only after a runtime cpuid check, so the same binary
 //            runs on machines without AVX2
 //
-// Selection: a matrix's set_kernel() request, where kAuto means AVX2 when
-// the CPU has it and scalar otherwise. Requesting avx2 on a machine (or a
-// -DIVMF_DISABLE_AVX2 build) without it degrades to scalar, never aborts.
+// Selection: a matrix's set_kernel() request, scalar or avx2 (the
+// default). Requesting avx2 on a machine (or a -DIVMF_DISABLE_AVX2 build)
+// without it degrades to scalar, never aborts.
 //
 // Aliasing contract (checked with IVMF_CHECK at the store's entry points):
 // no output buffer may alias an input buffer. The kernels read inputs while
@@ -48,7 +48,6 @@ namespace ivmf::spk {
 // -- Backend selection -------------------------------------------------------
 
 enum class Backend {
-  kAuto,    // AVX2 when the CPU has it, else scalar
   kScalar,  // reference loops
   kAvx2,    // vectorized rows (degrades to kScalar without AVX2)
 };
@@ -61,7 +60,7 @@ bool Avx2Compiled();
 // running CPU (cpuid: AVX2 + FMA). Cached after the first call.
 bool Avx2Supported();
 
-// Parses "scalar" / "avx2" / "auto". Returns false (and leaves *out
+// Parses "scalar" / "avx2". Returns false (and leaves *out
 // untouched) for anything else.
 bool ParseBackend(std::string_view name, Backend* out);
 
@@ -69,7 +68,7 @@ bool ParseBackend(std::string_view name, Backend* out);
 const char* BackendName(Backend backend);
 
 // Collapses a request to the backend that will actually run: kScalar stays
-// scalar, kAuto and kAvx2 resolve to kAvx2 iff Avx2Supported().
+// scalar, kAvx2 stays kAvx2 iff Avx2Supported().
 Backend Resolve(Backend request);
 
 // -- Packed-index CSR kernels ------------------------------------------------

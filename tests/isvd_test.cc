@@ -268,5 +268,172 @@ TEST(IsvdTest, ReconstructTargetCIsScalar) {
   EXPECT_DOUBLE_EQ(recon.Span().MaxAbs(), 0.0);
 }
 
+// ISVD1–4 hold recorded values: the dense twin of the sparse suite's
+// Isvd234KeepTheirValues. ISVD1's tail and ISVD2–4 after the eigensolve are
+// the bodies the dense and sparse paths share (core/isvd_internal.h), so a
+// change there moves both paths at once, and only recorded values can see
+// it. Jacobi on both Gram sides (kMMt runs on the transpose and swaps the
+// factors back), every target, rank 3 of a 12 x 18 matrix on which ILSA
+// swaps the second and third columns on both sides: σ₁–σ₃ and the
+// ReconstructionChecksum of both reconstruction endpoints, recorded at
+// %.17g before the dense and sparse bodies were merged; they hold at 1e-12
+// relative.
+TEST(IsvdTest, Isvd1To4KeepTheirValues) {
+  struct Pinned {
+    GramSide side;
+    int strategy;
+    DecompositionTarget target;
+    double sigma[3][2];  // (lo, hi)
+    double checksum[2];  // lower, upper reconstruction
+  };
+  const Pinned pins[] = {
+      {GramSide::kMtM, 1, DecompositionTarget::kA,
+       {{8.9421833598379195, 11.804478097453556},
+        {1.3998833536191384, 1.6833215699279347},
+        {1.511538677047273, 1.6192255481419797}},
+       {498.44911086325106, 714.58462467838149}},
+      {GramSide::kMtM, 1, DecompositionTarget::kB,
+       {{8.9365929255130911, 11.797098226465998},
+        {1.3002093742247636, 1.5634663269597753},
+        {1.4616096066367741, 1.5657393703608133}},
+       {521.07757255976503, 688.19340961174839}},
+      {GramSide::kMtM, 1, DecompositionTarget::kC,
+       {{10.366845575989544, 10.366845575989544},
+        {1.4318378505922693, 1.4318378505922693},
+        {1.5136744884987938, 1.5136744884987938}},
+       {604.63549108575683, 604.63549108575683}},
+      {GramSide::kMtM, 2, DecompositionTarget::kA,
+       {{8.9421833598379088, 11.804478097453551},
+        {1.3998833536191386, 1.6833215699279334},
+        {1.5115386770472694, 1.6192255481419771}},
+       {498.4491108632368, 714.58462467838888}},
+      {GramSide::kMtM, 2, DecompositionTarget::kB,
+       {{8.9365929255130929, 11.79709822646601},
+        {1.300209374224796, 1.5634663269598128},
+        {1.4616096066368205, 1.5657393703608642}},
+       {521.0775725597631, 688.19340961174737}},
+      {GramSide::kMtM, 2, DecompositionTarget::kC,
+       {{10.366845575989553, 10.366845575989553},
+        {1.4318378505923044, 1.4318378505923044},
+        {1.5136744884988425, 1.5136744884988425}},
+       {604.63549108575523, 604.63549108575523}},
+      {GramSide::kMtM, 3, DecompositionTarget::kA,
+       {{8.9421833598379088, 11.804478097453551},
+        {1.3998833536191386, 1.6833215699279334},
+        {1.5115386770472694, 1.6192255481419771}},
+       {429.36798446742125, 807.17739312198978}},
+      {GramSide::kMtM, 3, DecompositionTarget::kB,
+       {{8.9367374350455844, 11.797288991913611},
+        {1.3716737383506781, 1.6494002766015987},
+        {1.4785098977362747, 1.5838436924895773}},
+       {520.92886645049055, 688.02424495128639}},
+      {GramSide::kMtM, 3, DecompositionTarget::kC,
+       {{10.367013213479597, 10.367013213479597},
+        {1.5105370074761384, 1.5105370074761384},
+        {1.531176795112926, 1.531176795112926}},
+       {604.47655570088887, 604.47655570088887}},
+      {GramSide::kMtM, 4, DecompositionTarget::kA,
+       {{8.9421833598379088, 11.804478097453551},
+        {1.3998833536191386, 1.6833215699279334},
+        {1.5115386770472694, 1.6192255481419771}},
+       {388.70633639707722, 896.41551896448675}},
+      {GramSide::kMtM, 4, DecompositionTarget::kB,
+       {{8.936830710907163, 11.797412124354615},
+        {1.3734109607717373, 1.6514892392037834},
+        {1.4790111592272832, 1.5843806654594825}},
+       {521.03103412125176, 688.16195161625467}},
+      {GramSide::kMtM, 4, DecompositionTarget::kC,
+       {{10.367121417630889, 10.367121417630889},
+        {1.5124500999877604, 1.5124500999877604},
+        {1.5316959123433829, 1.5316959123433829}},
+       {604.59649286875356, 604.59649286875356}},
+      {GramSide::kMMt, 1, DecompositionTarget::kA,
+       {{8.9421833598379195, 11.804478097453556},
+        {1.3998833536191384, 1.6833215699279347},
+        {1.511538677047273, 1.6192255481419797}},
+       {498.44911086325106, 714.58462467838149}},
+      {GramSide::kMMt, 1, DecompositionTarget::kB,
+       {{8.9365929255130911, 11.797098226465998},
+        {1.3002093742247636, 1.5634663269597753},
+        {1.4616096066367741, 1.5657393703608133}},
+       {521.07757255976503, 688.19340961174839}},
+      {GramSide::kMMt, 1, DecompositionTarget::kC,
+       {{10.366845575989544, 10.366845575989544},
+        {1.4318378505922693, 1.4318378505922693},
+        {1.5136744884987938, 1.5136744884987938}},
+       {604.63549108575683, 604.63549108575683}},
+      {GramSide::kMMt, 2, DecompositionTarget::kA,
+       {{8.9421833598379088, 11.804478097453551},
+        {1.39988335361914, 1.6833215699279327},
+        {1.5115386770472701, 1.6192255481419759}},
+       {501.94647156733151, 711.08579060954503}},
+      {GramSide::kMMt, 2, DecompositionTarget::kB,
+       {{8.9365929255130894, 11.797098226466003},
+        {1.3002093742259331, 1.5634663269611782},
+        {1.4616096066367712, 1.5657393703608096}},
+       {521.07757255975105, 688.19340961173179}},
+      {GramSide::kMMt, 2, DecompositionTarget::kC,
+       {{10.366845575989545, 10.366845575989545},
+        {1.4318378505935558, 1.4318378505935558},
+        {1.5136744884987903, 1.5136744884987903}},
+       {604.63549108574148, 604.63549108574148}},
+      {GramSide::kMMt, 3, DecompositionTarget::kA,
+       {{8.9421833598379088, 11.804478097453551},
+        {1.39988335361914, 1.6833215699279327},
+        {1.5115386770472701, 1.6192255481419759}},
+       {448.39812713306065, 791.76240259201018}},
+      {GramSide::kMMt, 3, DecompositionTarget::kB,
+       {{8.9367818362192413, 11.797347605415576},
+        {1.372319087588044, 1.6501762914663964},
+        {1.4784448998125903, 1.5837740639050053}},
+       {521.15654129955408, 688.29507591406502}},
+      {GramSide::kMMt, 3, DecompositionTarget::kC,
+       {{10.367064720817408, 10.367064720817408},
+        {1.5112476895272202, 1.5112476895272202},
+        {1.5311094818587978, 1.5311094818587978}},
+       {604.72580860680978, 604.72580860680978}},
+      {GramSide::kMMt, 4, DecompositionTarget::kA,
+       {{8.9421833598379088, 11.804478097453551},
+        {1.39988335361914, 1.6833215699279327},
+        {1.5115386770472701, 1.6192255481419759}},
+       {389.19578114636852, 896.33728732475947}},
+      {GramSide::kMMt, 4, DecompositionTarget::kB,
+       {{8.9367995356930567, 11.797370970296676},
+        {1.3733276838572814, 1.6513891009843944},
+        {1.4787971683843506, 1.5841514292214629}},
+       {521.050198627285, 688.17435758050726}},
+      {GramSide::kMMt, 4, DecompositionTarget::kC,
+       {{10.367085252994865, 10.367085252994865},
+        {1.5123583924208381, 1.5123583924208381},
+        {1.5314742988029069, 1.5314742988029069}},
+       {604.61227810389585, 604.61227810389585}},
+  };
+  const IntervalMatrix m = SmallTestMatrix(8);
+  const auto expect_near = [](double got, double want, const char* what) {
+    EXPECT_NEAR(got, want, 1e-12 * std::fabs(want)) << what;
+  };
+  for (const Pinned& pin : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << "side " << static_cast<int>(pin.side) << ", strategy "
+                 << pin.strategy << ", target "
+                 << static_cast<int>(pin.target));
+    IsvdOptions options;
+    options.target = pin.target;
+    options.eig_solver = EigSolver::kJacobi;
+    options.gram_side = pin.side;
+    const IsvdResult result = RunIsvd(pin.strategy, m, 3, options);
+    ASSERT_EQ(result.rank(), 3u);
+    for (size_t j = 0; j < 3; ++j) {
+      expect_near(result.sigma[j].lo, pin.sigma[j][0], "sigma.lo");
+      expect_near(result.sigma[j].hi, pin.sigma[j][1], "sigma.hi");
+    }
+    const IntervalMatrix recon = result.Reconstruct();
+    expect_near(::ivmf::testing::ReconstructionChecksum(recon.lower()),
+                pin.checksum[0], "checksum.lo");
+    expect_near(::ivmf::testing::ReconstructionChecksum(recon.upper()),
+                pin.checksum[1], "checksum.hi");
+  }
+}
+
 }  // namespace
 }  // namespace ivmf

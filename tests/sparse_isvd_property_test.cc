@@ -32,6 +32,8 @@
 namespace ivmf {
 namespace {
 
+using ::ivmf::testing::ReconstructionChecksum;
+
 // A random exactly-rank-K entrywise non-negative interval matrix: a shared
 // non-negative left factor U and two ordered right factors V_lo <= V_hi, so
 // lower = U V_loᵀ <= upper = U V_hiᵀ elementwise and both endpoints have
@@ -120,6 +122,11 @@ TEST_P(SparseDenseAgreement, SparseStrategyMatchesDenseSibling) {
   const IsvdResult from_dense = RunIsvd(strategy, dense, k, dense_options);
   const IsvdResult from_sparse = RunIsvd(strategy, sparse, k, sparse_options);
   ExpectResultsAgree(from_dense, from_sparse, 1e-8);
+  // Non-negative input on kMtM runs ISVD2-4 matrix-free: no Gram is formed
+  // and no transpose is built, so there is nothing to charge to preprocess.
+  if (strategy >= 2 && !signed_entries) {
+    EXPECT_EQ(from_sparse.timings.preprocess, 0.0);
+  }
 }
 
 // The same agreement on a wide input with GramSide::kAuto on both sides:
@@ -246,22 +253,6 @@ TEST(SparseIsvdFamilyTest, SignedJacobiRouteMatchesDenseExactly) {
   }
 }
 
-TEST(SparseIsvdFamilyTest, SignedGramEigMaterializesEndpoints) {
-  // Unlike the non-negative Lanczos route, the signed route fills
-  // GramEig.gram (the four-product endpoints), so TruncateGramEig-style
-  // reuse keeps working.
-  Rng rng(79);
-  const IntervalMatrix dense = RandomSignedLowRankIntervalMatrix(20, 10, 3, rng);
-  const SparseIntervalMatrix sparse = SparseIntervalMatrix::FromDense(dense);
-  IsvdOptions options;
-  options.eig_solver = EigSolver::kLanczos;
-  const GramEig gram = ComputeGramEig(sparse, 3, options);
-  EXPECT_FALSE(gram.gram.empty());
-  EXPECT_EQ(gram.lo.eigenvalues.size(), 3u);
-  const IsvdResult r3 = Isvd3(sparse, 3, gram, options);
-  EXPECT_EQ(r3.rank(), 3u);
-}
-
 TEST(SparseIsvdTest, TruncatedLanczosAgreesOnWideLowRankMatrix) {
   // cols large enough that the Krylov space is a strict subspace: the
   // truncated solver must still nail an exactly low-rank spectrum.
@@ -279,7 +270,7 @@ TEST(SparseIsvdTest, TruncatedLanczosAgreesOnWideLowRankMatrix) {
   sparse_options.eig_solver = EigSolver::kLanczos;
 
   const IsvdResult from_dense = Isvd4(dense, k, dense_options);
-  const IsvdResult from_sparse = Isvd4(sparse, k, sparse_options);
+  const IsvdResult from_sparse = RunIsvd(4, sparse, k, sparse_options);
   ExpectResultsAgree(from_dense, from_sparse, 1e-8);
 }
 
@@ -301,7 +292,7 @@ TEST(SparseIsvdTest, SparseJacobiRouteMatchesDenseJacobi) {
   options.eig_solver = EigSolver::kJacobi;
 
   const IsvdResult from_dense = Isvd3(dense, 6, options);
-  const IsvdResult from_sparse = Isvd3(sparse, 6, options);
+  const IsvdResult from_sparse = RunIsvd(3, sparse, 6, options);
   ExpectResultsAgree(from_dense, from_sparse, 1e-8);
 }
 
@@ -324,7 +315,7 @@ TEST(SparseIsvdTest, CfMatrixSparseLanczosMatchesDenseLanczos) {
   options.eig_solver = EigSolver::kLanczos;
 
   const IsvdResult from_dense = Isvd4(dense, 8, options);
-  const IsvdResult from_sparse = Isvd4(sparse, 8, options);
+  const IsvdResult from_sparse = RunIsvd(4, sparse, 8, options);
   ExpectResultsAgree(from_dense, from_sparse, 1e-6);
 }
 
@@ -359,24 +350,6 @@ TEST(SparseIsvdTest, RankDeficientLowerEndpointStillDeliversRequestedRank) {
       EXPECT_GE(result.sigma[j].hi, 0.0) << "strategy " << strategy;
     }
   }
-}
-
-TEST(SparseIsvdTest, GramEigLanczosLeavesGramEmpty) {
-  Rng rng(36);
-  const IntervalMatrix dense = RandomLowRankIntervalMatrix(30, 20, 3, rng);
-  const SparseIntervalMatrix sparse = SparseIntervalMatrix::FromDense(dense);
-  IsvdOptions options;
-  options.eig_solver = EigSolver::kLanczos;
-  const GramEig gram = ComputeGramEig(sparse, 3, options);
-  EXPECT_TRUE(gram.gram.empty());  // never materialized
-  EXPECT_EQ(gram.lo.eigenvalues.size(), 3u);
-  EXPECT_EQ(gram.hi.eigenvalues.size(), 3u);
-  // Reusing the precomputed GramEig across strategies works like the dense
-  // path.
-  const IsvdResult r2 = Isvd2(sparse, 3, gram, options);
-  const IsvdResult r3 = Isvd3(sparse, 3, gram, options);
-  EXPECT_EQ(r2.rank(), 3u);
-  EXPECT_EQ(r3.rank(), 3u);
 }
 
 // The block-row store end to end: RunIsvd over a matrix copied into 32-row
@@ -445,77 +418,42 @@ INSTANTIATE_TEST_SUITE_P(
              (::testing::get<2>(info.param) ? "_Mmap" : "_Memory");
     });
 
-// A fixed-weight sum over the cells of a reconstruction endpoint: moves
-// with every returned triplet, the trailing ones included.
-double ReconstructionChecksum(const Matrix& r) {
-  double sum = 0.0;
-  for (size_t i = 0; i < r.rows(); ++i) {
-    for (size_t j = 0; j < r.cols(); ++j) {
-      sum += r(i, j) * (1.0 + static_cast<double>((i * 31 + j * 17) % 7));
-    }
-  }
-  return sum;
-}
-
 void ExpectRelativelyNear(double got, double want, const std::string& what) {
   EXPECT_NEAR(got, want, 1e-10 * std::fabs(want)) << what;
 }
 
-// ISVD0/ISVD1 start each Gram solve from Golub–Kahan's start vector
-// v₀ = Mᵀr / ‖Mᵀr‖, r drawn over the rows from Rng(lanczos.seed), so they
-// reproduce the values of the Golub–Kahan–Lanczos SVD they replaced. On
-// this 400 x 150 CF fixture the default step cap leaves the trailing
-// triplets unconverged (σ₁₀ sits ~4e-7 relative off a full-dimension
-// solve), so a solve from any other start vector lands elsewhere. The
-// values are those of the Golub–Kahan route at %.17g; they hold at 1e-10
-// relative.
-TEST(SparseIsvdFamilyTest, Isvd01KeepTheGolubKahanStartVector) {
+// Recorded values of one strategy and target on PinnedCfFixture at rank 10:
+// σ₁–σ₁₀ and the ReconstructionChecksum of both reconstruction endpoints.
+struct Pinned {
+  int strategy;
+  DecompositionTarget target;
+  double sigma[10][2];  // (lo, hi)
+  double checksum[2];   // lower, upper reconstruction
+};
+
+// A 400 x 150 CF fixture on which the default Lanczos step cap leaves the
+// trailing triplets unconverged (σ₁₀ sits ~4e-7 relative off a
+// full-dimension solve), so the values move with the start vector and with
+// every step after the eigensolve.
+SparseIntervalMatrix PinnedCfFixture() {
   RatingsConfig config;
   config.num_users = 400;
   config.num_items = 150;
   config.fill = 0.2;
   config.seed = 41;
-  const SparseIntervalMatrix m =
-      SparseCfIntervalMatrix(GenerateSparseRatings(config), 0.3);
+  return SparseCfIntervalMatrix(GenerateSparseRatings(config), 0.3);
+}
+
+void ExpectPinned(const std::vector<Pinned>& pins) {
+  const SparseIntervalMatrix m = PinnedCfFixture();
   ASSERT_EQ(m.nnz(), 12032u);
-
-  IsvdOptions options;
-  options.target = DecompositionTarget::kB;
-  options.eig_solver = EigSolver::kLanczos;
-
-  struct Pinned {
-    int strategy;
-    double sigma[10][2];  // (lo, hi)
-    double checksum[2];   // lower, upper reconstruction
-  };
-  const Pinned pins[] = {
-      {0,
-       {{151.5890054361559, 151.5890054361559},
-        {40.665173204577457, 40.665173204577457},
-        {40.071940614869419, 40.071940614869419},
-        {39.208151662386761, 39.208151662386761},
-        {38.50769691917727, 38.50769691917727},
-        {38.256457827014366, 38.256457827014366},
-        {38.041376690227438, 38.041376690227438},
-        {37.943499186076984, 37.943499186076984},
-        {37.695913787737219, 37.695913787737219},
-        {37.166550082886353, 37.166550082886353}},
-       {144893.77401077122, 144893.77401077122}},
-      {1,
-       {{139.0030375994458, 164.17416540223965},
-        {36.703963540194138, 42.363509305628561},
-        {35.997960610191235, 41.534683886535561},
-        {35.947960110082107, 41.825175718014208},
-        {35.305329235627276, 41.131223918238561},
-        {34.97550399683707, 40.73284078500896},
-        {32.879492127381162, 38.19462336778755},
-        {31.320563506553853, 36.432461328872641},
-        {32.544980379961196, 37.775052549611814},
-        {33.452782763175506, 38.90294367199953}},
-       {132646.895940455, 157124.51065973245}},
-  };
   for (const Pinned& pin : pins) {
-    SCOPED_TRACE(::testing::Message() << "strategy " << pin.strategy);
+    SCOPED_TRACE(::testing::Message()
+                 << "strategy " << pin.strategy << ", target "
+                 << static_cast<int>(pin.target));
+    IsvdOptions options;
+    options.target = pin.target;
+    options.eig_solver = EigSolver::kLanczos;
     const IsvdResult result = RunIsvd(pin.strategy, m, 10, options);
     ASSERT_EQ(result.rank(), 10u);
     for (size_t j = 0; j < 10; ++j) {
@@ -529,6 +467,159 @@ TEST(SparseIsvdFamilyTest, Isvd01KeepTheGolubKahanStartVector) {
     ExpectRelativelyNear(ReconstructionChecksum(recon.upper()),
                          pin.checksum[1], "checksum.hi");
   }
+}
+
+// ISVD0/ISVD1 start each Gram solve from Golub–Kahan's start vector
+// v₀ = Mᵀr / ‖Mᵀr‖, r drawn over the rows from Rng(lanczos.seed), so they
+// reproduce the values of the Golub–Kahan–Lanczos SVD they replaced; a
+// solve from any other start vector lands elsewhere. The values are those
+// of the Golub–Kahan route at %.17g; they hold at 1e-10 relative.
+TEST(SparseIsvdFamilyTest, Isvd01KeepTheGolubKahanStartVector) {
+  ExpectPinned({
+      {0, DecompositionTarget::kB,
+       {{151.5890054361559, 151.5890054361559},
+        {40.665173204577457, 40.665173204577457},
+        {40.071940614869419, 40.071940614869419},
+        {39.208151662386761, 39.208151662386761},
+        {38.50769691917727, 38.50769691917727},
+        {38.256457827014366, 38.256457827014366},
+        {38.041376690227438, 38.041376690227438},
+        {37.943499186076984, 37.943499186076984},
+        {37.695913787737219, 37.695913787737219},
+        {37.166550082886353, 37.166550082886353}},
+       {144893.77401077122, 144893.77401077122}},
+      {1, DecompositionTarget::kB,
+       {{139.0030375994458, 164.17416540223965},
+        {36.703963540194138, 42.363509305628561},
+        {35.997960610191235, 41.534683886535561},
+        {35.947960110082107, 41.825175718014208},
+        {35.305329235627276, 41.131223918238561},
+        {34.97550399683707, 40.73284078500896},
+        {32.879492127381162, 38.19462336778755},
+        {31.320563506553853, 36.432461328872641},
+        {32.544980379961196, 37.775052549611814},
+        {33.452782763175506, 38.90294367199953}},
+       {132646.895940455, 157124.51065973245}},
+  });
+}
+
+// ISVD2–4 finish in the body they share with the dense path
+// (core/isvd_internal.h), so a change to it moves the dense and the sparse
+// results together, which no dense/sparse agreement test can see. These
+// are the values of the matrix-free route (kLanczos on non-negative input)
+// for every target, recorded at %.17g before the sparse and dense bodies
+// were merged; they hold at 1e-10 relative.
+TEST(SparseIsvdFamilyTest, Isvd234KeepTheirValues) {
+  ExpectPinned({
+      {2, DecompositionTarget::kA,
+       {{139.00816136256611, 164.18021699325917},
+        {37.786653069743195, 43.61314350139947},
+        {37.219942480101473, 42.944614610984161},
+        {36.257884410278258, 42.18577026288677},
+        {35.584711961580254, 41.456708872178673},
+        {35.358898254579906, 41.179345797317495},
+        {35.214649707781788, 40.907272737430965},
+        {35.106263541012581, 40.836041658172064},
+        {34.893569304880451, 40.501066415271474},
+        {34.37785677922416, 39.978696436306855}},
+       {114652.66679558586, 173892.46750570004}},
+      {2, DecompositionTarget::kB,
+       {{139.00303759944504, 164.17416540223894},
+        {36.703963540194771, 42.363509305629215},
+        {35.997960610196394, 41.534683886541508},
+        {35.947960109127905, 41.825175716904148},
+        {35.305329252057149, 41.131223937380696},
+        {34.975524652165994, 40.732864856941447},
+        {32.879539496146954, 38.194680362042448},
+        {31.320659919788785, 36.432580520901652},
+        {32.544824662075953, 37.774871741990147},
+        {33.453582385451163, 38.903839278985949}},
+       {132646.81747744285, 157124.37061416253}},
+      {2, DecompositionTarget::kC,
+       {{151.588601500842, 151.588601500842},
+        {39.533736422912, 39.533736422912},
+        {38.766322248368958, 38.766322248368958},
+        {38.88656791301603, 38.88656791301603},
+        {38.218276594718922, 38.218276594718922},
+        {37.854194754553724, 37.854194754553724},
+        {35.537109929094704, 35.537109929094704},
+        {33.876620220345217, 33.876620220345217},
+        {35.159848202033047, 35.159848202033047},
+        {36.178710832218563, 36.178710832218563}},
+       {144885.59404580333, 144885.59404580333}},
+      {3, DecompositionTarget::kA,
+       {{139.00816136256611, 164.18021699325917},
+        {37.786653069743195, 43.61314350139947},
+        {37.219942480101473, 42.944614610984161},
+        {36.257884410278258, 42.18577026288677},
+        {35.584711961580254, 41.456708872178673},
+        {35.358898254579906, 41.179345797317495},
+        {35.214649707781788, 40.907272737430965},
+        {35.106263541012581, 40.836041658172064},
+        {34.893569304880451, 40.501066415271474},
+        {34.37785677922416, 39.978696436306855}},
+       {108804.57901268051, 183042.27472222529}},
+      {3, DecompositionTarget::kB,
+       {{139.00339768254531, 164.17459069037281},
+        {37.75771241806325, 43.579740363195832},
+        {37.215043776280723, 42.938962454273067},
+        {36.247770466222256, 42.174002766593546},
+        {35.580337882032964, 41.451613005656789},
+        {35.351236281851115, 41.170422583075442},
+        {35.257237438970336, 40.956744986891202},
+        {35.103399196868054, 40.832709817497182},
+        {34.950933599281605, 40.567649317040754},
+        {34.374525503489615, 39.974822429204188}},
+       {132620.02104769953, 157174.17673634665}},
+      {3, DecompositionTarget::kC,
+       {{151.58899418645908, 151.58899418645908},
+        {40.668726390629544, 40.668726390629544},
+        {40.077003115276895, 40.077003115276895},
+        {39.210886616407898, 39.210886616407898},
+        {38.51597544384488, 38.51597544384488},
+        {38.260829432463282, 38.260829432463282},
+        {38.106991212930772, 38.106991212930772},
+        {37.968054507182622, 37.968054507182622},
+        {37.759291458161179, 37.759291458161179},
+        {37.174673966346901, 37.174673966346901}},
+       {144897.09889202233, 144897.09889202233}},
+      {4, DecompositionTarget::kA,
+       {{139.00816136256611, 164.18021699325917},
+        {37.786653069743195, 43.61314350139947},
+        {37.219942480101473, 42.944614610984161},
+        {36.257884410278258, 42.18577026288677},
+        {35.584711961580254, 41.456708872178673},
+        {35.358898254579906, 41.179345797317495},
+        {35.214649707781788, 40.907272737430965},
+        {35.106263541012581, 40.836041658172064},
+        {34.893569304880451, 40.501066415271474},
+        {34.37785677922416, 39.978696436306855}},
+       {110363.24316791393, 187721.66682432216}},
+      {4, DecompositionTarget::kB,
+       {{139.00340630909176, 164.17460087904269},
+        {37.757968116154387, 43.580035488501615},
+        {37.215143163864099, 42.939077128320925},
+        {36.247822672031369, 42.174063507651809},
+        {35.58039653123241, 41.451681332830262},
+        {35.351285502342137, 41.170479905778365},
+        {35.257439405685908, 40.956979602529479},
+        {35.103892104827978, 40.833283174156499},
+        {34.951178482362927, 40.567933553538715},
+        {34.374617004267648, 39.974928837286939}},
+       {132621.19607835173, 157175.58808111283}},
+      {4, DecompositionTarget::kC,
+       {{151.58900359406724, 151.58900359406724},
+        {40.669001802328005, 40.669001802328005},
+        {40.077110146092515, 40.077110146092515},
+        {39.210943089841592, 39.210943089841592},
+        {38.516038932031343, 38.516038932031343},
+        {38.260882704060251, 38.260882704060251},
+        {38.107209504107693, 38.107209504107693},
+        {37.968587639492242, 37.968587639492242},
+        {37.759556017950821, 37.759556017950821},
+        {37.174772920777301, 37.174772920777301}},
+       {144898.39207973506, 144898.39207973506}},
+  });
 }
 
 }  // namespace

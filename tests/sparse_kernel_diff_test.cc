@@ -199,8 +199,8 @@ TEST_P(SparseKernelDiffTest, GramKernelsMatchReference) {
     const std::vector<double> x = RandomVector(rng, s.ref.cols);
     const SparseIntervalMatrix m = Build(s);
     // The kMMt route builds its store on m.Transpose(), so a pinned backend
-    // must survive the transpose. Pin away from the kAuto default first, or
-    // a transpose that drops the pin would still compare equal.
+    // must survive the transpose. The kScalar pin differs from the kAvx2
+    // default, so a transpose that drops the pin fails there.
     for (const spk::Backend b : {spk::Backend::kScalar, spk::Backend::kAvx2}) {
       SparseIntervalMatrix pinned = m;
       pinned.set_kernel(b);
@@ -259,21 +259,19 @@ TEST(SparseKernelContractTest, BackendParsingAndResolution) {
   EXPECT_EQ(b, spk::Backend::kScalar);
   EXPECT_TRUE(spk::ParseBackend("avx2", &b));
   EXPECT_EQ(b, spk::Backend::kAvx2);
-  EXPECT_TRUE(spk::ParseBackend("auto", &b));
-  EXPECT_EQ(b, spk::Backend::kAuto);
+  EXPECT_FALSE(spk::ParseBackend("auto", &b)) << "avx2 is the one vector name";
   EXPECT_FALSE(spk::ParseBackend("sell", &b));
   EXPECT_FALSE(spk::ParseBackend("mmx", &b));
-  EXPECT_EQ(b, spk::Backend::kAuto) << "a failed parse leaves *out alone";
+  EXPECT_EQ(b, spk::Backend::kAvx2) << "a failed parse leaves *out alone";
 
-  // Explicit scalar always resolves to scalar; auto and avx2 resolve to
-  // avx2 exactly when the CPU (and the build) have it.
+  // Explicit scalar always resolves to scalar; avx2 resolves to avx2
+  // exactly when the CPU (and the build) have it.
   const spk::Backend vector_backend =
       spk::Avx2Supported() ? spk::Backend::kAvx2 : spk::Backend::kScalar;
   EXPECT_EQ(spk::Resolve(spk::Backend::kScalar), spk::Backend::kScalar);
   EXPECT_EQ(spk::Resolve(spk::Backend::kAvx2), vector_backend);
-  EXPECT_EQ(spk::Resolve(spk::Backend::kAuto), vector_backend);
   const SparseIntervalMatrix m;
-  EXPECT_EQ(m.kernel(), spk::Backend::kAuto);
+  EXPECT_EQ(m.kernel(), spk::Backend::kAvx2);
   EXPECT_EQ(m.ResolvedKernel(), vector_backend);
   if (!spk::Avx2Compiled()) {
     EXPECT_FALSE(spk::Avx2Supported());
@@ -294,7 +292,7 @@ TEST(SparseKernelContractTest, BackendParsingAndResolution) {
 TEST(SparseKernelDeathTest, StoreKernelsRejectAliasedOutput) {
   const SparseIntervalMatrix m = SparseIntervalMatrix::FromTriplets(
       2, 2, {{0, 0, Interval(1.0, 2.0)}, {1, 1, Interval(3.0, 4.0)}});
-  const ShardedSparseIntervalMatrix view = MakeView(m, {spk::Backend::kAuto, 1});
+  const ShardedSparseIntervalMatrix view = MakeView(m, {spk::Backend::kAvx2, 1});
   std::vector<double> x = {1.0, 2.0};
   EXPECT_DEATH(view.Multiply(Endpoint::kLower, x, x), "alias");
   EXPECT_DEATH(view.MultiplyMid(x, x), "alias");

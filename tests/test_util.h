@@ -56,6 +56,19 @@ inline double MaxAbsDiff(const Matrix& a, const Matrix& b) {
   return (a - b).MaxAbs();
 }
 
+// A fixed-weight sum over the cells of a reconstruction endpoint: moves
+// with every returned triplet, the trailing ones included. The value pins
+// of the ISVD suites compare it.
+inline double ReconstructionChecksum(const Matrix& r) {
+  double sum = 0.0;
+  for (size_t i = 0; i < r.rows(); ++i) {
+    for (size_t j = 0; j < r.cols(); ++j) {
+      sum += r(i, j) * (1.0 + static_cast<double>((i * 31 + j * 17) % 7));
+    }
+  }
+  return sum;
+}
+
 // Checks columns of `m` are orthonormal within tol; returns max deviation
 // |MᵀM - I|.
 inline double OrthonormalityError(const Matrix& m) {
