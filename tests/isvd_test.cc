@@ -14,6 +14,7 @@ namespace {
 
 using ::ivmf::testing::RandomIntervalMatrix;
 using ::ivmf::testing::RandomMatrix;
+using ::ivmf::testing::ReconstructionChecksum;
 
 IntervalMatrix SmallTestMatrix(uint64_t seed, size_t rows = 12,
                                size_t cols = 18) {
@@ -428,10 +429,10 @@ TEST(IsvdTest, Isvd1To4KeepTheirValues) {
       expect_near(result.sigma[j].hi, pin.sigma[j][1], "sigma.hi");
     }
     const IntervalMatrix recon = result.Reconstruct();
-    expect_near(::ivmf::testing::ReconstructionChecksum(recon.lower()),
-                pin.checksum[0], "checksum.lo");
-    expect_near(::ivmf::testing::ReconstructionChecksum(recon.upper()),
-                pin.checksum[1], "checksum.hi");
+    expect_near(ReconstructionChecksum(recon.lower()), pin.checksum[0],
+                "checksum.lo");
+    expect_near(ReconstructionChecksum(recon.upper()), pin.checksum[1],
+                "checksum.hi");
   }
 }
 
