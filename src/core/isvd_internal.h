@@ -108,18 +108,18 @@ inline PhaseTimings GramTimings(const GramEig& gram) {
   return timings;
 }
 
-// U† = M† (V†ᵀ)⁻¹ Σ†⁻¹ (Section 4.4.2). (V†ᵀ)⁻¹ is approximated through
-// the averaged factor (Section 4.4.2.2): plain inverse when square and
+// U† = M† (V†ᵀ)⁻¹ Σ†⁻¹ (Section 4.4.2), with sigma_inv the r x r diagonal
+// Σ†⁻¹ of InverseIntervalDiagonal. (V†ᵀ)⁻¹ is approximated through the
+// averaged factor (Section 4.4.2.2): plain inverse when square and
 // well-conditioned, else the Moore–Penrose pseudo-inverse with the paper's
-// 0.1 singular-value cutoff. The inverses act on the small r-column
-// factor; the only pass over M† is the final interval product.
+// 0.1 singular-value cutoff. The inverses act on the small r-column factor;
+// the only pass over M† is the final interval product.
 template <typename Work>
 IntervalMatrix SolveLeftFactor(const Work& m, const IntervalMatrix& v,
-                               const std::vector<Interval>& sigma,
+                               const Matrix& sigma_inv,
                                double cond_threshold) {
   const Matrix vt_inv =
       RobustInverse(v.Mid().Transpose(), cond_threshold);  // m x r
-  const Matrix sigma_inv = Matrix::Diagonal(InverseIntervalDiagonal(sigma));
   return IntervalTimes(m, vt_inv * sigma_inv);
 }
 
@@ -169,14 +169,14 @@ IsvdResult Isvd34FromGram(const Work& m, const GramEig& gram,
       MakeIntervalDiag(s_lo, SqrtClamped(gram.hi.eigenvalues));
 
   sw.Restart();
-  IntervalMatrix u = SolveLeftFactor(m, v, sigma, options.cond_threshold);
+  const Matrix sigma_inv = Matrix::Diagonal(InverseIntervalDiagonal(sigma));
+  IntervalMatrix u = SolveLeftFactor(m, v, sigma_inv, options.cond_threshold);
   timings.solve = sw.Seconds();
 
   if (recompute) {
     sw.Restart();
     const Matrix u_inv =
         RobustInverse(u.Mid(), options.cond_threshold);  // r x n
-    const Matrix sigma_inv = Matrix::Diagonal(InverseIntervalDiagonal(sigma));
     v = LeftTimesTransposed(sigma_inv * u_inv, m);  // m x r
     timings.recompute = sw.Seconds();
   }

@@ -43,7 +43,8 @@ IsvdResult LpIsvd(const IntervalMatrix& m, size_t rank,
   // U† recovery is ISVD3's solve (Section 4.4.2).
   sw.Restart();
   IntervalMatrix u = isvd_internal::SolveLeftFactor(
-      work, eig.eigenvectors, sigma, options.cond_threshold);
+      work, eig.eigenvectors, Matrix::Diagonal(InverseIntervalDiagonal(sigma)),
+      options.cond_threshold);
   timings.solve = sw.Seconds();
 
   IsvdResult result = isvd_internal::BuildResult(

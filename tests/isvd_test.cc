@@ -273,8 +273,9 @@ TEST(IsvdTest, ReconstructTargetCIsScalar) {
 // Isvd234KeepTheirValues. ISVD1's tail and ISVD2–4 after the eigensolve are
 // the bodies the dense and sparse paths share (core/isvd_internal.h), so a
 // change there moves both paths at once, and only recorded values can see
-// it. Jacobi on both Gram sides (kMMt runs on the transpose and swaps the
-// factors back), every target, rank 3 of a 12 x 18 matrix on which ILSA
+// it. Jacobi, every target, ISVD2–4 on both Gram sides (kMMt runs on the
+// transpose and swaps the factors back; dense ISVD1 forms no Gram, so it
+// runs once, on kMtM), rank 3 of a 12 x 18 matrix on which ILSA
 // swaps the second and third columns on both sides: σ₁–σ₃ and the
 // ReconstructionChecksum of both reconstruction endpoints, recorded at
 // %.17g before the dense and sparse bodies were merged; they hold at 1e-12
@@ -348,21 +349,6 @@ TEST(IsvdTest, Isvd1To4KeepTheirValues) {
         {1.5124500999877604, 1.5124500999877604},
         {1.5316959123433829, 1.5316959123433829}},
        {604.59649286875356, 604.59649286875356}},
-      {GramSide::kMMt, 1, DecompositionTarget::kA,
-       {{8.9421833598379195, 11.804478097453556},
-        {1.3998833536191384, 1.6833215699279347},
-        {1.511538677047273, 1.6192255481419797}},
-       {498.44911086325106, 714.58462467838149}},
-      {GramSide::kMMt, 1, DecompositionTarget::kB,
-       {{8.9365929255130911, 11.797098226465998},
-        {1.3002093742247636, 1.5634663269597753},
-        {1.4616096066367741, 1.5657393703608133}},
-       {521.07757255976503, 688.19340961174839}},
-      {GramSide::kMMt, 1, DecompositionTarget::kC,
-       {{10.366845575989544, 10.366845575989544},
-        {1.4318378505922693, 1.4318378505922693},
-        {1.5136744884987938, 1.5136744884987938}},
-       {604.63549108575683, 604.63549108575683}},
       {GramSide::kMMt, 2, DecompositionTarget::kA,
        {{8.9421833598379088, 11.804478097453551},
         {1.39988335361914, 1.6833215699279327},

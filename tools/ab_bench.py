@@ -5,7 +5,7 @@ the current checkout, in alternating pairs.
 Run from the root of a source checkout:
 
   python3 tools/ab_bench.py --ref <commit> [--workloads a,b] [--pairs 10] \\
-      [--seed 1] [--seconds 20] [--out ab_runs.json]
+      [--seed 1] [--out ab_runs.json]
 
 The reference commit is checked out with `git worktree add --detach` into a
 temporary directory (removed at exit). Each pair runs
@@ -13,12 +13,13 @@ temporary directory (removed at exit). Each pair runs
   python3 ivbench/run.py --workload W --seed S --seconds T --trace 0
 
 once in each tree, alternating which side runs first; each tree builds its
-own ivbench (in its .ivbench_build/) from its own sources. Metric names,
-directions ("better") and bounds come from BENCHMARK.json. For every
-workload and end-to-end metric the report gives the parent's median and its
-interquartile range as a share of the median, the change's median and IQR,
-the ratio change / parent, the pairs the change won (ties count for neither
-side), and one verdict:
+own ivbench (in its .ivbench_build/) from its own sources. The run length T
+(run_seconds), metric names, directions ("better") and bounds come from
+BENCHMARK.json, so every A/B runs at the length the bounds were set for.
+For every workload and end-to-end metric the report gives the parent's
+median and its interquartile range as a share of the median, the change's
+median and IQR, the ratio change / parent, the pairs the change won (ties
+count for neither side), and one verdict:
 
   worse past bound  the change's median is worse than the parent's by more
                     than the bound;
@@ -160,8 +161,6 @@ def main():
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json)")
     parser.add_argument("--out", default="ab_runs.json",
                         help="JSON file for every run's result")
     args = parser.parse_args()
@@ -169,7 +168,7 @@ def main():
     root = git("rev-parse", "--show-toplevel")
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = args.seconds or spec.get("run_seconds", 20)
+    seconds = spec["run_seconds"]
     workloads = args.workloads.split(",")
     unknown = [w for w in workloads if w not in WORKLOADS]
     if unknown or args.pairs < 1:
