@@ -22,7 +22,7 @@
 //  - FromCsr block stores of the tall CSR inputs with 32-row shards, memory
 //    and mmap backed, × Jacobi/Lanczos × 3 targets: ISVD0–4 at rank 8;
 //  - a 0 x 5 CSR matrix on every side.
-// It prints about 5.3M lines (~100 MB) in about two minutes on 4 vCPUs, and
+// It prints about 5.3M lines (~113 MB) in about two minutes on 4 vCPUs, and
 // two runs of one build print the same bytes. It uses only the dense API,
 // LpIsvd and the two sparse RunIsvd overloads, so one source builds against
 // trees on either side of a refactor of the ISVD internals.
